@@ -2,13 +2,21 @@
 
 The dedicated two-local low-weight path evaluates every coefficient of
 weight at most 2 in closed form and vectorizes all trajectory sums, so the
-two-million-entry table for a thousand-qubit circuit takes seconds. The
-general branch engine is exact at any locality but would need hours here.
+two-million-entry table for a thousand-qubit circuit takes seconds, both as
+columnar lists and as the keyed table the sampler reads (whose bitmask keys
+are stored as bytes, so they hash apart past 61 qubits). The general branch
+engine is exact at any locality but would need hours here.
 """
 
 import time
 
-from iqpdamp import g2_low_weight_coefficients, random_circuit, select_k
+from iqpdamp import (
+    build_table_auto,
+    fourier_table,
+    g2_low_weight_coefficients,
+    random_circuit,
+    select_k,
+)
 
 n, d, p = 1000, 100, 0.3
 circuit = random_circuit(n, d, p, seed=1)
@@ -20,8 +28,18 @@ print(f"trace-distance bound {budget.td_bound:.2e} <= delta {budget.delta:.4f}")
 start = time.time()
 kets, bras, values = g2_low_weight_coefficients(circuit, 2)
 elapsed = time.time() - start
-print(f"\n{len(values)} coefficients of weight <= 2 in {elapsed:.1f} s")
+print(f"\n{len(values)} coefficients of weight <= 2 in {elapsed:.1f} s (columnar lists)")
 
 corner = next(v for ket, bra, v in zip(kets, bras, values) if ket == 0 and bra == 0)
 print(f"weight-0 coefficient (kept trace at k=0): {corner.real:.6f}")
 print(f"largest off-diagonal magnitude: {max(abs(v) for v in values[1:]):.3g}")
+del kets, bras, values
+
+start = time.time()
+table = build_table_auto(circuit, 2)
+built = time.time() - start
+qd = fourier_table(table)
+collapsed = time.time() - start - built
+print(f"\nkeyed table of {len(table)} entries in {built:.1f} s, "
+      f"Fourier support of {len(qd.coeffs)} parities in {collapsed:.1f} s more")
+print(f"total mass (trace of the truncated state): {qd.total_mass:.6f}")

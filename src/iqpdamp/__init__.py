@@ -51,6 +51,7 @@ from .frame_engine import (
 from .hw_basis import (
     HWCoefficientTable,
     HWIndex,
+    MaskMap,
     build_table,
     count_weight_h_with_r_zeroblocks,
     extract_coefficients,
@@ -71,6 +72,7 @@ __all__ = [
     "Gate",
     "HWCoefficientTable",
     "HWIndex",
+    "MaskMap",
     "MINUS",
     "NumericalError",
     "PLUS",

@@ -230,11 +230,16 @@ def _fig2_instance(payload: tuple[int, int, int, float, int]) -> tuple[list[floa
     return hs_sq, tds
 
 
-def _worker_count() -> int:
+def _worker_count(payloads: int) -> int:
+    """IQPDAMP_THREADS, else the CPUs this process may run on; never more than `payloads`."""
     env = os.environ.get("IQPDAMP_THREADS")
     if env is not None:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+        wanted = int(env)
+    elif hasattr(os, "sched_getaffinity"):
+        wanted = len(os.sched_getaffinity(0))
+    else:
+        wanted = os.cpu_count() or 1
+    return max(1, min(wanted, payloads))
 
 
 def cmd_reproduce_fig2(args, parser) -> int:
@@ -248,7 +253,7 @@ def cmd_reproduce_fig2(args, parser) -> int:
     seeds = np.random.SeedSequence(args.seed).generate_state(instances, dtype=np.uint64)
     payloads = [(int(s), n, d, p, kmax) for s in seeds]
     payloads.append((-1, n, d, p, kmax))  # idle reference instance
-    workers = _worker_count()
+    workers = _worker_count(len(payloads))
     if workers > 1:
         import multiprocessing
 

@@ -36,7 +36,7 @@ from collections import defaultdict
 import numpy as np
 
 from .circuit_model import CPHASE, RZ, Circuit
-from .hw_basis import HWCoefficientTable, build_table
+from .hw_basis import HWCoefficientTable, MaskMap, build_table
 
 
 def fast_applicable(circuit: Circuit, cutoff: int) -> bool:
@@ -172,18 +172,22 @@ def _g2_components(circuit: Circuit, cutoff: int):
     return a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm
 
 
-def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
+def g2_low_weight_coefficients(circuit: Circuit, cutoff: int, mask_key=None):
     """Columnar (kets, bras, values) form of the table, cheap to build at n ~ 10^3.
 
     Lists every nonzero entry once (both Hermitian mirrors included), in no
     particular order. Values are a complex ndarray aligned with the two
-    bitmask lists.
+    bitmask lists. With `mask_key`, each distinct bitmask is passed through it
+    once and the lists hold its results, shared between an entry and its
+    mirror; the keyed table uses this to build its byte keys directly.
     """
     a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = _g2_components(circuit, cutoff)
     n = circuit.n
-    bit = [1 << (n - 1 - q) for q in range(n)]
-    kets: list[int] = [0]
-    bras: list[int] = [0]
+    key = mask_key or (lambda mask: mask)
+    bit_int = [1 << (n - 1 - q) for q in range(n)]
+    zero, bit = key(0), [key(b) for b in bit_int]
+    kets: list = [zero]
+    bras: list = [zero]
     vals: list[complex] = [a00]
     if diag_val:
         kets.extend(bit)
@@ -195,9 +199,9 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
             v = ap[q]
             if v != 0:
                 kets.append(bit[q])
-                bras.append(0)
+                bras.append(zero)
                 vals.append(v)
-                kets.append(0)
+                kets.append(zero)
                 bras.append(bit[q])
                 vals.append(v.conjugate())
     if alpha_pp is not None:
@@ -206,18 +210,19 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
         pp_list = alpha_pp.tolist()
         pm_list = alpha_pm.tolist()
         for idx in range(len(i1l)):
-            b1 = bit[i1l[idx]]
-            b2 = bit[i2l[idx]]
+            q1, q2 = i1l[idx], i2l[idx]
             v = pp_list[idx]
             if v != 0:
-                kets.append(b1 | b2)
-                bras.append(0)
+                both = key(bit_int[q1] | bit_int[q2])
+                kets.append(both)
+                bras.append(zero)
                 vals.append(v)
-                kets.append(0)
-                bras.append(b1 | b2)
+                kets.append(zero)
+                bras.append(both)
                 vals.append(v.conjugate())
             v = pm_list[idx]
             if v != 0:
+                b1, b2 = bit[q1], bit[q2]
                 kets.append(b1)
                 bras.append(b2)
                 vals.append(v)
@@ -233,7 +238,7 @@ def g2_low_weight_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     Exactly equivalent to build_table(circuit, cutoff) for circuits whose gates
     are all 1- or 2-local; validated against it in the test suite.
     """
-    kets, bras, vals = g2_low_weight_coefficients(circuit, cutoff)
     table = HWCoefficientTable(circuit.n, cutoff)
-    table.data = dict(zip(zip(kets, bras), vals.tolist()))
+    kets, bras, vals = g2_low_weight_coefficients(circuit, cutoff, table.data.encode_mask)
+    table.data = MaskMap.from_encoded(circuit.n, True, dict(zip(zip(kets, bras), vals.tolist())))
     return table

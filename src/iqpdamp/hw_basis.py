@@ -11,6 +11,7 @@ strings, each weight-(<=k) index being supported by exactly one initial string.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping, MutableMapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -60,6 +61,135 @@ def count_weight_h_with_r_zeroblocks(h: int, r: int, n: int) -> int:
     return math.comb(n, r) * math.comb(n - r, w) * (2 ** u)
 
 
+_BAD_KEY = (TypeError, ValueError, OverflowError, AttributeError)
+
+
+def _mask_width(n: int) -> int:
+    return max(1, (n + 7) // 8)
+
+
+class MaskMap(MutableMapping):
+    """Insertion-ordered map keyed by n-bit masks, or by (ket, bra) pairs of them.
+
+    Python hashes an int as its value mod 2^61 - 1, so past 61 qubits masks
+    whose bits sit 61 places apart collide: at n = 600 the 179,700 two-bit
+    masks share 1,891 hashes and a dict keyed by them degrades to long probe
+    chains. Each mask is therefore stored as mask.to_bytes(width, "little")
+    with width = ceil(n / 8), and a (ket, bra) key as a 2-tuple of those;
+    bytes hash with SipHash. Reads, iteration, `items()`, `len`, `==` and
+    `dict(...)` see int or (ket, bra) keys in insertion order.
+
+    `raw` is the stored dict. Builders that already hold encoded keys wrap it
+    with `from_encoded` and skip the re-encoding.
+    """
+
+    def __init__(self, n: int, pairs: bool, entries=()):
+        self.width = _mask_width(n)
+        self.pairs = pairs
+        self.raw: dict = {}
+        self._decoded: list | None = None
+        self.update(entries)
+
+    @classmethod
+    def from_encoded(cls, n: int, pairs: bool, raw: dict) -> "MaskMap":
+        """Wrap a dict whose keys are already encoded for this n, without copying."""
+        out = cls(n, pairs)
+        out.raw = raw
+        return out
+
+    @classmethod
+    def of(cls, n: int, pairs: bool, entries) -> "MaskMap":
+        """`entries` itself when it is a MaskMap of this shape, else a re-keyed copy."""
+        if (isinstance(entries, MaskMap) and entries.pairs == pairs
+                and entries.width == _mask_width(n)):
+            return entries
+        return cls(n, pairs, entries)
+
+    def encode_mask(self, mask: int) -> bytes:
+        return mask.to_bytes(self.width, "little")
+
+    def encode(self, key):
+        if self.pairs:
+            ket, bra = key
+            return self.encode_mask(ket), self.encode_mask(bra)
+        return self.encode_mask(key)
+
+    def decode(self, raw):
+        if self.pairs:
+            return int.from_bytes(raw[0], "little"), int.from_bytes(raw[1], "little")
+        return int.from_bytes(raw, "little")
+
+    def add_pair(self, ket: int, bra: int, value, mirror: bool = False) -> None:
+        """Add `value` at (ket, bra), and with `mirror` its conjugate at (bra, ket).
+
+        Each mask is encoded once and the encoding shared by both entries.
+        """
+        width, raw = self.width, self.raw
+        ket_b, bra_b = ket.to_bytes(width, "little"), bra.to_bytes(width, "little")
+        key = (ket_b, bra_b)
+        raw[key] = raw.get(key, 0.0) + value
+        if mirror:
+            key = (bra_b, ket_b)
+            raw[key] = raw.get(key, 0.0) + value.conjugate()
+        self._decoded = None
+
+    def int_items(self) -> list:
+        """Decoded (key, value) pairs in insertion order, built once and kept until the map changes."""
+        if self._decoded is None:
+            self._decoded = list(self.items())
+        return self._decoded
+
+    def __getitem__(self, key):
+        try:
+            return self.raw[self.encode(key)]
+        except (KeyError, *_BAD_KEY):
+            raise KeyError(key) from None
+
+    def __setitem__(self, key, value) -> None:
+        self.raw[self.encode(key)] = value
+        self._decoded = None
+
+    def __delitem__(self, key) -> None:
+        try:
+            del self.raw[self.encode(key)]
+        except (KeyError, *_BAD_KEY):
+            raise KeyError(key) from None
+        self._decoded = None
+
+    def __iter__(self):
+        return map(self.decode, self.raw)
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def items(self):
+        return _DecodedItems(self)
+
+    def values(self):
+        return self.raw.values()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MaskMap) and (other.width, other.pairs) == (self.width, self.pairs):
+            return self.raw == other.raw
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        try:
+            rekeyed = {self.encode(k): v for k, v in other.items()}
+        except _BAD_KEY:
+            return False
+        return len(rekeyed) == len(other) and rekeyed == self.raw
+
+    def __repr__(self) -> str:
+        return f"MaskMap({{{', '.join(f'{k!r}: {v!r}' for k, v in self.items())}}})"
+
+
+class _DecodedItems(ItemsView):
+    def __iter__(self):
+        decode = self._mapping.decode
+        for key, value in self._mapping.raw.items():
+            yield decode(key), value
+
+
 class HWCoefficientTable:
     """Sparse map from (ket, bra) bitmask pairs to complex coefficients, weight <= cutoff."""
 
@@ -68,33 +198,66 @@ class HWCoefficientTable:
             raise ValueError(f"cutoff must be in [0, {2*n}], got {cutoff}")
         self.n = n
         self.cutoff = cutoff
-        self.data: dict[tuple[int, int], complex] = {}
+        self._data = MaskMap(n, pairs=True)
+
+    @property
+    def data(self) -> MaskMap:
+        """(ket, bra) -> coefficient; a plain mapping assigned here is re-keyed into a MaskMap."""
+        return self._data
+
+    @data.setter
+    def data(self, entries) -> None:
+        self._data = MaskMap.of(self.n, True, entries)
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self._data)
 
     def add(self, ket: int, bra: int, value: complex) -> None:
         if ket.bit_count() + bra.bit_count() > self.cutoff:
             raise ValueError("entry weight exceeds cutoff")
-        key = (ket, bra)
-        self.data[key] = self.data.get(key, 0.0) + value
+        self._data.add_pair(ket, bra, value)
 
     def get(self, ket: int, bra: int) -> complex:
-        return self.data.get((ket, bra), 0.0)
+        return self._data.get((ket, bra), 0.0)
 
     def max_size(self) -> int:
         """Upper limit sum_{m<=cutoff} C(2n, m) on the number of entries."""
         return sum(math.comb(2 * self.n, m) for m in range(min(self.cutoff, 2 * self.n) + 1))
 
     def hermiticity_defect(self) -> float:
+        raw = self._data.raw
         worst = 0.0
-        for (ket, bra), v in self.data.items():
-            worst = max(worst, abs(v - self.data.get((bra, ket), 0.0).conjugate()))
+        for (ket, bra), v in raw.items():
+            worst = max(worst, abs(v - raw.get((bra, ket), 0.0).conjugate()))
         return worst
 
     def sorted_items(self) -> list[tuple[tuple[int, int], complex]]:
-        return sorted(self.data.items(),
+        return sorted(self._data.items(),
                       key=lambda kv: (kv[0][0].bit_count() + kv[0][1].bit_count(), kv[0][0], kv[0][1]))
+
+    def parity_sums(self) -> dict[bytes, complex]:
+        """Sum of the values per parity ket XOR bra, keyed by the parity's mask encoding.
+
+        Parities appear in order of first occurrence and each sum is taken in
+        insertion order.
+        """
+        data = self._data
+        width = data.width
+        zero = data.encode_mask(0)
+        from_bytes = int.from_bytes
+        acc: dict[bytes, complex] = {}
+        get = acc.get
+        for (ket, bra), v in data.raw.items():
+            if bra == zero:
+                s = ket
+            elif ket == zero:
+                s = bra
+            elif ket == bra:
+                s = zero
+            else:
+                s = (from_bytes(ket, "little") ^ from_bytes(bra, "little")).to_bytes(width, "little")
+            acc[s] = get(s, 0.0) + v
+        return acc
 
     def serialize(self) -> str:
         """One `<ket-bits> <bra-bits> <re> <im>` line per entry, sorted by (weight, ket, bra)."""
@@ -106,14 +269,14 @@ class HWCoefficientTable:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def trace(self) -> complex:
-        return sum(v for (ket, bra), v in self.data.items() if ket == bra)
+        return sum(v for (ket, bra), v in self._data.raw.items() if ket == bra)
 
     def to_dense(self):
         """Dense matrix realization for small-n cross-checks."""
         import numpy as np
 
         out = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for (ket, bra), v in self.data.items():
+        for (ket, bra), v in self._data.items():
             out[ket, bra] += v
         return out
 
@@ -221,14 +384,15 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
     """
     n = circuit.n
     table = HWCoefficientTable(n, cutoff)
+    data = table.data
     max_off = min(cutoff, n)
     for s in initial_strings(n, max_off):
         slots = s.offdiag_slots()
         if mirror and slots and slots[0][1] == MINUS:
             continue  # covered by its adjoint's mirror
+        mirrored = mirror and bool(slots)
         for branch in propagate(s, circuit):
+            # _contributions yields weights <= cutoff only, so table.add's check is skipped
             for ket, bra, v in _contributions(branch, cutoff):
-                table.add(ket, bra, v)
-                if mirror and slots:
-                    table.add(bra, ket, v.conjugate())
+                data.add_pair(ket, bra, v, mirrored)
     return table

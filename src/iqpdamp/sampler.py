@@ -10,27 +10,42 @@ bit 0 encodes the |+> result, 1 encodes |->.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericalError
-from .hw_basis import HWCoefficientTable
+from .hw_basis import HWCoefficientTable, MaskMap
 
 INDUCED_N_CAP = 12
 
 
-@dataclass
 class QuasiDistribution:
     """Sparse real Fourier coefficients of q(x), stored scaled by 2^n.
 
     coeffs[s] = sum of alpha over table entries with ket XOR bra = s, which is
     2^n * q~(s); the scaling keeps every quantity O(1) at any n. The total mass
-    sum_x q(x) equals coeffs[0].
+    sum_x q(x) equals coeffs[0]. A plain mapping given as `coeffs` is re-keyed
+    into a MaskMap.
     """
 
-    n: int
-    coeffs: dict[int, float] = field(default_factory=dict)
+    def __init__(self, n: int, coeffs=()):
+        self.n = n
+        self.coeffs = coeffs
+
+    @property
+    def coeffs(self) -> MaskMap:
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, entries) -> None:
+        self._coeffs = MaskMap.of(self.n, False, entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuasiDistribution):
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"QuasiDistribution(n={self.n}, coeffs={self.coeffs!r})"
 
     def q_tilde(self, s: int) -> float:
         return self.coeffs.get(s, 0.0) / 2.0 ** self.n
@@ -47,17 +62,15 @@ def fourier_table(table: HWCoefficientTable, tol: float = 1e-12) -> QuasiDistrib
     accumulated coefficient real. Residual imaginary parts above `tol`
     (relative to the largest coefficient) raise NumericalError.
     """
-    acc: dict[int, complex] = {}
-    for (ket, bra), v in table.data.items():
-        s = ket ^ bra
-        acc[s] = acc.get(s, 0.0) + v
+    acc = table.parity_sums()
     scale = max((abs(v) for v in acc.values()), default=0.0)
     worst = max((abs(v.imag) for v in acc.values()), default=0.0)
     if worst > tol * max(1.0, scale):
         raise NumericalError(
             f"Fourier coefficients are not real: residual imaginary part {worst:.3g} "
             f"(Hermiticity violation in the coefficient table)")
-    return QuasiDistribution(table.n, {s: v.real for s, v in acc.items()})
+    coeffs = MaskMap.from_encoded(table.n, False, {s: v.real for s, v in acc.items()})
+    return QuasiDistribution(table.n, coeffs)
 
 
 def marginal(qd: QuasiDistribution, prefix: str) -> float:
@@ -75,7 +88,7 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     suffix_mask = (1 << shift) - 1
     y_bits = y << shift
     total = 0.0
-    for s, c in qd.coeffs.items():
+    for s, c in qd.coeffs.int_items():
         if s & suffix_mask:
             continue
         total += -c if (y_bits & s).bit_count() & 1 else c

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -229,6 +230,20 @@ def test_reproduce_fig2_small_sweep(tmp_path, capsys, monkeypatch):
             hs_truncation_bound(5, 4, 0.2, k, require_valid=False))
     err = capsys.readouterr().err
     assert err.count("observation:") == 2
+
+
+def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch):
+    monkeypatch.delenv("IQPDAMP_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._worker_count(10) == 3
+    assert cli._worker_count(2) == 2
+    monkeypatch.setenv("IQPDAMP_THREADS", "5")
+    assert cli._worker_count(10) == 5
+    assert cli._worker_count(4) == 4
+    monkeypatch.delenv("IQPDAMP_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(100) == 64
 
 
 def test_reproduce_fig2_deterministic(tmp_path, monkeypatch):
