@@ -39,10 +39,8 @@ from .frame_engine import (
     PLUS,
     BranchSet,
     FrameString,
-    apply_cphase2,
     apply_damping_layer,
     apply_single_qubit_rotation,
-    canonicalize,
     initial_strings,
     llocal_branch,
     propagate,
@@ -54,7 +52,6 @@ from .hw_basis import (
     MaskMap,
     build_table,
     count_weight_h_with_r_zeroblocks,
-    extract_coefficients,
     parse_table,
     zero_block_range,
 )
@@ -77,20 +74,17 @@ __all__ = [
     "NumericalError",
     "PLUS",
     "QuasiDistribution",
-    "apply_cphase2",
     "apply_damping_layer",
     "apply_single_qubit_rotation",
     "binary_entropy",
     "born_distribution",
     "build_table",
     "build_table_auto",
-    "canonicalize",
     "coefficient_bound",
     "count_weight_h_with_r_zeroblocks",
     "depth_threshold",
     "distances",
     "evolve_dense",
-    "extract_coefficients",
     "fourier_table",
     "g2_low_weight_coefficients",
     "g2_low_weight_table",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
@@ -45,7 +45,6 @@ class FrameString:
     kinds: tuple[int, ...]
     diag_args: dict[int, complex]
     log_beta: complex
-    accumulated_phase: float = 0.0
 
     @property
     def beta(self) -> complex:
@@ -62,8 +61,7 @@ class FrameString:
         return [(q, k) for q, k in enumerate(self.kinds) if k != DIAG]
 
     def copy(self) -> "FrameString":
-        return FrameString(self.n, self.kinds, dict(self.diag_args),
-                           self.log_beta, self.accumulated_phase)
+        return FrameString(self.n, self.kinds, dict(self.diag_args), self.log_beta)
 
     def adjoint(self) -> "FrameString":
         """Slotwise Hermitian conjugate: Plus <-> Minus, conjugated args and beta."""
@@ -72,7 +70,6 @@ class FrameString:
             tuple(-k for k in self.kinds),
             {q: a.conjugate() for q, a in self.diag_args.items()},
             self.log_beta.conjugate(),
-            -self.accumulated_phase,
         )
 
     def scale(self, factor: complex) -> None:
@@ -120,18 +117,17 @@ def initial_strings(n: int, max_offdiag: int) -> Iterator[FrameString]:
                 yield FrameString(n, tuple(kinds), dict(diag), log_beta)
 
 
-def apply_single_qubit_rotation(s: FrameString, qubit: int, theta: float,
-                                defer: bool = False) -> FrameString:
-    """Conjugate by e^{i theta Z} on one qubit: sigma_+/- pick up e^{-/+ 2i theta}."""
+def _rotation_phase(s: FrameString, qubit: int, theta: float) -> float:
+    """Phase that e^{i theta Z} on `qubit` puts on beta: -2 theta on sigma_+, +2 theta on sigma_-."""
     if not (0 <= qubit < s.n):
         raise IndexError(f"qubit {qubit} out of range [0, {s.n})")
+    return -2.0 * theta * s.kinds[qubit]
+
+
+def apply_single_qubit_rotation(s: FrameString, qubit: int, theta: float) -> FrameString:
+    """Conjugate by e^{i theta Z} on one qubit: sigma_+/- pick up e^{-/+ 2i theta}."""
     out = s.copy()
-    k = s.kinds[qubit]
-    if k != DIAG:
-        if defer:
-            out.accumulated_phase += -2.0 * theta * k
-        else:
-            out.log_beta += complex(0.0, -2.0 * theta * k)
+    out.log_beta += complex(0.0, _rotation_phase(s, qubit, theta))
     return out
 
 
@@ -192,15 +188,6 @@ def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> Bra
     return branches
 
 
-def apply_cphase2(s: FrameString, q1: int, q2: int, theta: float) -> FrameString:
-    """Two-qubit controlled phase; never branches."""
-    if q1 == q2:
-        raise ValueError("cphase targets must differ")
-    branches = llocal_branch(s, (q1, q2), theta)
-    assert len(branches) == 1
-    return branches[0]
-
-
 def apply_damping_layer(s: FrameString, p: float) -> FrameString:
     """One amplitude-damping layer on all qubits.
 
@@ -231,18 +218,21 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
 
     Per layer, controlled-phase gates are applied (branching when l >= 3 covers
     same-sign sigmas with two or more diagonal slots) and then the damping
-    layer. Single-qubit rotations commute with damping on frame strings, so
-    they are deferred: their total phase is accumulated per string and flushed
-    into beta at the end. Strings whose beta hits exactly 0 are dropped.
+    layer. Neither step changes a slot's kind, so every branch keeps the input
+    string's kinds and single-qubit rotations give all branches the same
+    phase: -2 theta per Plus slot and +2 theta per Minus slot. That phase is
+    summed over the Rz gates in circuit order and added to each surviving
+    branch's log beta once, at the end. Strings whose beta hits exactly 0 are
+    dropped.
     """
     if s.n != circuit.n:
         raise ValueError(f"string has n={s.n}, circuit has n={circuit.n}")
+    phase = 0.0
     work: BranchSet = [s.copy()]
     for layer in circuit.layers:
         for g in layer:
             if g.kind == RZ:
-                work = [apply_single_qubit_rotation(b, g.targets[0], g.theta, defer=True)
-                        for b in work]
+                phase += _rotation_phase(s, g.targets[0], g.theta)
             elif g.kind == CPHASE:
                 nxt: BranchSet = []
                 for b in work:
@@ -252,35 +242,10 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
         work = [apply_damping_layer(b, circuit.p) for b in work]
         work = [b for b in work if b.log_beta.real != -math.inf]
-    for b in work:
-        if b.accumulated_phase:
-            b.log_beta += complex(0.0, b.accumulated_phase)
-            b.accumulated_phase = 0.0
+    if phase:
+        for b in work:
+            b.log_beta += complex(0.0, phase)
     return work
-
-
-def canonicalize(s: FrameString) -> tuple[tuple[int, ...], FrameString]:
-    """Stable-sort slots to (Plus, Minus, Diag) order.
-
-    Returns (perm, canonical) where perm[i] is the source qubit now sitting at
-    position i; un-permuting the canonical string recovers the original.
-    """
-    order = {PLUS: 0, MINUS: 1, DIAG: 2}
-    perm = tuple(sorted(range(s.n), key=lambda q: (order[s.kinds[q]], q)))
-    kinds = tuple(s.kinds[q] for q in perm)
-    args = {i: s.diag_args[q] for i, q in enumerate(perm) if s.kinds[q] == DIAG}
-    return perm, FrameString(s.n, kinds, args, s.log_beta, s.accumulated_phase)
-
-
-def unpermute(perm: tuple[int, ...], s: FrameString) -> FrameString:
-    """Invert canonicalize: send the slot at position i back to qubit perm[i]."""
-    kinds = [DIAG] * s.n
-    args: dict[int, complex] = {}
-    for i, q in enumerate(perm):
-        kinds[q] = s.kinds[i]
-        if s.kinds[i] == DIAG:
-            args[q] = s.diag_args[i]
-    return FrameString(s.n, tuple(kinds), args, s.log_beta, s.accumulated_phase)
 
 
 def reconstruct_dense(strings: Iterator[FrameString] | list, n: int) -> np.ndarray:

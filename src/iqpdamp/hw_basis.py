@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import ItemsView, Mapping, MutableMapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterator
 
 from .circuit_model import Circuit
-from .frame_engine import DIAG, MINUS, PLUS, FrameString, initial_strings, propagate
+from .frame_engine import MINUS, PLUS, FrameString, initial_strings, propagate
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,12 @@ def _string_masks(s: FrameString) -> tuple[int, int, list[int]]:
 
 
 def _contributions(branch: FrameString, cutoff: int) -> Iterator[tuple[int, int, complex]]:
-    """(ket, bra, alpha contribution) of one propagated branch, weights <= cutoff."""
-    from itertools import combinations
+    """(ket, bra, alpha contribution) of one propagated branch, weights <= cutoff.
 
+    A branch whose off-diagonal slots match an index (a, b) exactly contributes
+    beta times the product, over diagonal slots inside the index's (1,1)
+    positions, of the final argument a_t; all other indices get 0 from it.
+    """
     m = branch.offdiag_count
     if m > cutoff:
         return
@@ -343,36 +347,6 @@ def _contributions(branch: FrameString, cutoff: int) -> Iterator[tuple[int, int,
                 value *= branch.diag_args[q]
                 bits |= 1 << (n - 1 - q)
             yield ket0 | bits, bra0 | bits, value
-
-
-def extract_coefficients(branches: Iterable[FrameString], cutoff: int,
-                         n: int | None = None) -> HWCoefficientTable:
-    """Assemble the weight-<=cutoff coefficient table from propagated branches.
-
-    A branch with off-diagonal slots exactly matching an index (a, b)
-    contributes beta times the product, over diagonal slots inside the index's
-    (1,1) positions, of the final argument a_t; all other indices get 0 from it.
-    """
-    branches = iter(branches)
-    first = next(branches, None)
-    if first is None:
-        if n is None:
-            raise ValueError("cannot infer n from an empty branch collection")
-        return HWCoefficientTable(n, cutoff)
-    if n is not None and first.n != n:
-        raise ValueError(f"branch has n={first.n}, expected {n}")
-    table = HWCoefficientTable(first.n, cutoff)
-
-    def feed(branch: FrameString) -> None:
-        for ket, bra, v in _contributions(branch, cutoff):
-            table.add(ket, bra, v)
-
-    feed(first)
-    for b in branches:
-        if b.n != table.n:
-            raise ValueError(f"branch has n={b.n}, expected {table.n}")
-        feed(b)
-    return table
 
 
 def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoefficientTable:

@@ -105,6 +105,12 @@ def _child_marginals(qd: QuasiDistribution, prefix: str,
     return cache[s0], cache[s1]
 
 
+def _forced_child(s0: float, s1: float) -> tuple[str, float]:
+    """(bit, marginal) of the child taken when a child marginal is negative:
+    the other child, or the larger one if both are negative."""
+    return ("1", s1) if s0 < 0.0 and (s1 >= 0.0 or s1 >= s0) else ("0", s0)
+
+
 def sample(qd: QuasiDistribution, count: int, seed: int,
            audit: list | None = None) -> list[str]:
     """Draw `count` outcome strings, deterministically in `seed`.
@@ -128,11 +134,10 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
         for _bit in range(qd.n):
             s0, s1 = _child_marginals(qd, y, cache)
             if s0 < 0.0 or s1 < 0.0:
-                forced = "1" if s0 < 0.0 and (s1 >= 0.0 or s1 >= s0) else "0"
+                forced, s_y = _forced_child(s0, s1)
                 if audit is not None:
                     audit.append((y, s0, s1, forced))
                 y += forced
-                s_y = s1 if forced == "1" else s0
                 continue
             if audit is not None:
                 audit.append((y, s0, s1, None))
@@ -165,8 +170,8 @@ def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
             return
         s0, s1 = _child_marginals(qd, prefix, cache)
         if s0 < 0.0 or s1 < 0.0:
-            forced = "1" if s0 < 0.0 and (s1 >= 0.0 or s1 >= s0) else "0"
-            walk(prefix + forced, prob, s1 if forced == "1" else s0)
+            forced, s_forced = _forced_child(s0, s1)
+            walk(prefix + forced, prob, s_forced)
             return
         p0 = s0 / s_y
         walk(prefix + "0", prob * p0, s0)

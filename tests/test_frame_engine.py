@@ -4,7 +4,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from helpers import phase_gate_matrix, random_frame_string
 from iqpdamp.circuit_model import Circuit, Gate, idle_circuit, random_circuit
@@ -14,15 +13,12 @@ from iqpdamp.frame_engine import (
     MINUS,
     PLUS,
     FrameString,
-    apply_cphase2,
     apply_damping_layer,
     apply_single_qubit_rotation,
-    canonicalize,
     initial_strings,
     llocal_branch,
     propagate,
     reconstruct_dense,
-    unpermute,
 )
 
 KINDS = (PLUS, MINUS, DIAG)
@@ -36,6 +32,13 @@ def make_string(kinds, args=None, beta=1.0):
 
 
 random_string = random_frame_string
+
+
+def cphase2(s, q1, q2, theta):
+    """The single branch of a two-qubit controlled phase: two-qubit gates never branch."""
+    branches = llocal_branch(s, (q1, q2), theta)
+    assert len(branches) == 1
+    return branches[0]
 
 
 def rotation_matrix(n, qubit, theta):
@@ -131,7 +134,7 @@ def test_rotation_out_of_range():
 
 def test_cphase2_diag_diag_unchanged():
     s = make_string((DIAG, DIAG), {0: 0.4 - 0.2j, 1: -0.9 + 0.1j}, beta=2.0)
-    out = apply_cphase2(s, 0, 1, math.pi)
+    out = cphase2(s, 0, 1, math.pi)
     assert out.kinds == s.kinds
     assert out.log_beta == s.log_beta
     assert out.diag_args == s.diag_args
@@ -140,26 +143,26 @@ def test_cphase2_diag_diag_unchanged():
 def test_cphase2_offdiag_diag_rotates_argument():
     theta = math.pi / 3
     s = make_string((PLUS, DIAG), {1: 0.5 + 0.0j})
-    out = apply_cphase2(s, 0, 1, theta)
+    out = cphase2(s, 0, 1, theta)
     assert out.log_beta == s.log_beta
     assert out.diag_args[1] == pytest.approx(0.5 * cmath.exp(1j * theta))
     s = make_string((MINUS, DIAG), {1: 0.5 + 0.0j})
-    out = apply_cphase2(s, 0, 1, theta)
+    out = cphase2(s, 0, 1, theta)
     assert out.diag_args[1] == pytest.approx(0.5 * cmath.exp(-1j * theta))
 
 
 def test_cphase2_mixed_signs_unchanged():
     s = make_string((PLUS, MINUS))
-    out = apply_cphase2(s, 0, 1, 1.7)
+    out = cphase2(s, 0, 1, 1.7)
     assert out.kinds == s.kinds
     assert out.log_beta == s.log_beta
 
 
 def test_cphase2_same_signs_pure_phase():
     theta = 0.9
-    out = apply_cphase2(make_string((PLUS, PLUS)), 0, 1, theta)
+    out = cphase2(make_string((PLUS, PLUS)), 0, 1, theta)
     assert out.beta == pytest.approx(cmath.exp(1j * theta))
-    out = apply_cphase2(make_string((MINUS, MINUS)), 0, 1, theta)
+    out = cphase2(make_string((MINUS, MINUS)), 0, 1, theta)
     assert out.beta == pytest.approx(cmath.exp(-1j * theta))
 
 
@@ -175,13 +178,13 @@ def test_cphase2_matches_dense_for_all_slot_pairs():
             theta = rng.uniform(0, 2 * math.pi)
             u = phase_gate_matrix(2, (0, 1), theta)
             expected = u @ s.to_matrix() @ u.conj().T
-            got = apply_cphase2(s, 0, 1, theta).to_matrix()
+            got = cphase2(s, 0, 1, theta).to_matrix()
             assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_cphase2_rejects_equal_targets():
     with pytest.raises(ValueError):
-        apply_cphase2(make_string((DIAG, DIAG)), 0, 0, 0.3)
+        cphase2(make_string((DIAG, DIAG)), 0, 0, 0.3)
 
 
 def test_llocal_branch_diag_only_is_single_branch():
@@ -222,14 +225,16 @@ def test_llocal_branch_matches_dense_for_all_slot_triples():
 
 
 def test_llocal_branch_two_local_agrees_with_cphase2():
+    # any target pair, in either order, on strings wider than the gate
     rng = np.random.default_rng(37)
     for _ in range(20):
-        s = random_string(rng, 2)
+        s = random_string(rng, 4)
+        q1, q2 = (int(q) for q in rng.choice(4, size=2, replace=False))
         theta = rng.uniform(0, 2 * math.pi)
-        branches = llocal_branch(s, (0, 1), theta)
-        assert len(branches) == 1
-        direct = apply_cphase2(s, 0, 1, theta)
-        assert np.max(np.abs(branches[0].to_matrix() - direct.to_matrix())) < 1e-12
+        u = phase_gate_matrix(4, (q1, q2), theta)
+        expected = u @ s.to_matrix() @ u.conj().T
+        got = cphase2(s, q1, q2, theta).to_matrix()
+        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_llocal_branch_bad_targets():
@@ -345,6 +350,47 @@ def test_propagate_commutes_with_adjoint():
         assert np.max(np.abs(direct - mirrored)) < 1e-10
 
 
+def gate_by_gate(s, circuit):
+    """Reference propagation: every gate applied to every live branch, in circuit order."""
+    work = [s]
+    for layer in circuit.layers:
+        for g in layer:
+            if g.kind == "rz":
+                work = [apply_single_qubit_rotation(b, g.targets[0], g.theta) for b in work]
+            else:
+                work = [c for b in work for c in llocal_branch(b, g.targets, g.theta)]
+        work = [apply_damping_layer(b, circuit.p) for b in work]
+        work = [b for b in work if b.log_beta.real != -math.inf]
+    return work
+
+
+def test_propagate_matches_gate_by_gate_reference():
+    n, d = 5, 4
+    branched = 0
+    for locality, seed in ((3, 12), (3, 13), (4, 14), (4, 15)):
+        circuit = random_circuit(n, d, 0.35, locality=locality, seed=seed)
+        assert any(g.kind == "rz" for _, g in circuit.gates())
+        for s in initial_strings(n, 3):
+            got = propagate(s, circuit)
+            want = gate_by_gate(s, circuit)
+            assert len(got) == len(want)
+            branched += len(got) > 1
+            for a, b in zip(got, want):
+                assert a.kinds == b.kinds
+                assert a.diag_args == b.diag_args
+                assert abs(a.log_beta - b.log_beta) <= 1e-12
+    assert branched
+
+
+def test_propagate_rejects_out_of_range_rotation():
+    # built directly: parse_circuit would reject these targets before propagation
+    s = make_string((PLUS, DIAG, MINUS))
+    for q in (-1, 3):
+        circuit = Circuit(n=3, d=1, p=0.2, layers=((Gate("rz", (q,), 0.4),),))
+        with pytest.raises(IndexError):
+            propagate(s, circuit)
+
+
 def test_propagate_rejects_size_mismatch():
     circuit = idle_circuit(3, 2, 0.1)
     with pytest.raises(ValueError):
@@ -358,41 +404,3 @@ def test_propagate_keeps_arguments_in_unit_disc():
             for b in propagate(s, circuit):
                 assert all(abs(a) <= 1 + 1e-12 for a in b.diag_args.values())
                 assert math.isfinite(b.log_beta.real)
-
-
-def test_canonicalize_already_canonical():
-    s = make_string((PLUS, MINUS, DIAG), {2: 0.5 + 0.2j})
-    perm, canon = canonicalize(s)
-    assert perm == (0, 1, 2)
-    assert canon.kinds == s.kinds
-    assert canon.diag_args == s.diag_args
-
-
-def test_canonicalize_sorts_and_unpermute_inverts():
-    s = make_string((DIAG, MINUS, PLUS), {0: 0.3 + 0.0j}, beta=2.0)
-    perm, canon = canonicalize(s)
-    assert perm == (2, 1, 0)
-    assert canon.kinds == (PLUS, MINUS, DIAG)
-    assert canon.diag_args == {2: 0.3 + 0.0j}
-    back = unpermute(perm, canon)
-    assert back.kinds == s.kinds
-    assert back.diag_args == s.diag_args
-    assert back.log_beta == s.log_beta
-
-
-@given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=7),
-       st.integers(0, 2 ** 32 - 1))
-def test_canonicalize_roundtrip(kinds, seed):
-    rng = np.random.default_rng(seed)
-    s = random_string(rng, len(kinds))
-    s = FrameString(s.n, tuple(kinds), {q: s.diag_args.get(q, 0.4 + 0.1j)
-                                        for q, k in enumerate(kinds) if k == DIAG},
-                    s.log_beta)
-    perm, canon = canonicalize(s)
-    assert sorted(perm) == list(range(s.n))
-    order = [0 if k == PLUS else 1 if k == MINUS else 2 for k in canon.kinds]
-    assert order == sorted(order)
-    back = unpermute(perm, canon)
-    assert back.kinds == s.kinds
-    assert back.diag_args == s.diag_args
-    assert back.log_beta == s.log_beta

@@ -6,13 +6,11 @@ import pytest
 from iqpdamp.bounds import coefficient_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import evolve_dense
-from iqpdamp.frame_engine import initial_strings, propagate
 from iqpdamp.hw_basis import (
     HWCoefficientTable,
     HWIndex,
     build_table,
     count_weight_h_with_r_zeroblocks,
-    extract_coefficients,
     parse_table,
     zero_block_range,
 )
@@ -168,29 +166,6 @@ def test_idle_saturates_decay_bound():
         idx = HWIndex(3, ket, bra)
         cap = coefficient_bound(idx.weight, idx.zero_blocks, c.d, c.p, c.n)
         assert abs(v) == pytest.approx(cap, rel=1e-12)
-
-
-def test_extract_coefficients_direct():
-    c = random_circuit(3, 5, 0.4, seed=9)
-    branches = []
-    for s in initial_strings(3, 2):
-        branches.extend(propagate(s, c))
-    t = extract_coefficients(branches, 2)
-    ref = build_table(c, 2, mirror=False)
-    assert set(t.data) == set(ref.data)
-    for key, v in ref.data.items():
-        assert t.data[key] == pytest.approx(v, abs=1e-13)
-
-
-def test_extract_coefficients_empty_and_mismatch():
-    with pytest.raises(ValueError):
-        extract_coefficients([], 2)
-    empty = extract_coefficients([], 2, n=4)
-    assert len(empty) == 0 and empty.n == 4
-    s3 = next(iter(initial_strings(3, 0)))
-    s2 = next(iter(initial_strings(2, 0)))
-    with pytest.raises(ValueError):
-        extract_coefficients([s3, s2], 1)
 
 
 def test_serialize_golden_and_roundtrip():
