@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .circuit_model import FLOAT_FMT
 from .errors import CertificationError
 
 LN2 = math.log(2.0)
@@ -67,6 +68,23 @@ def _require_chernoff(n: int, d: int, p: float, k: int) -> None:
             f"Chernoff regime not reached: k+1 = {k + 1} < n(1-p)^d = {need:.6g}{hint}")
 
 
+def _log_hs_bound(n: int, d: int, p: float, k: int) -> float:
+    """log of the squared HS truncation bound; -inf when nothing is truncated."""
+    if n < 1 or d < 0 or not (0.0 < p <= 1.0):
+        raise ValueError(f"invalid parameters n={n}, d={d}, p={p}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k >= 2 * n or (p == 1.0 and d >= 1):
+        # every weight is kept, or full damping leaves only the weight-0 term
+        return -math.inf
+    survive = (1.0 - p) ** d
+    damp_term = d * (k + 1) * math.log1p(-p) if p < 1.0 else 0.0  # d == 0 here
+    return ((2 * n - k - 1) * math.log(2.0 - survive)
+            - n * LN4
+            + 2 * n * binary_entropy((k + 1) / (2 * n))
+            + damp_term)
+
+
 def hs_truncation_bound(n: int, d: int, p: float, k: int,
                         require_valid: bool = False) -> float:
     """Squared Hilbert-Schmidt truncation error bound for cutoff k.
@@ -76,45 +94,15 @@ def hs_truncation_bound(n: int, d: int, p: float, k: int,
     require_valid=True to enforce that regime (raises CertificationError naming
     the required depth), otherwise the formula value is returned as-is.
     """
-    if n < 1 or d < 0 or not (0.0 < p <= 1.0):
-        raise ValueError(f"invalid parameters n={n}, d={d}, p={p}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    log_hs = _log_hs_bound(n, d, p, k)
     if require_valid:
         _require_chernoff(n, d, p, k)
-    if k >= 2 * n:
-        return 0.0  # nothing is truncated
-    if p == 1.0 and d >= 1:
-        return 0.0  # full damping leaves only the weight-0 term
-    survive = (1.0 - p) ** d
-    damp_term = d * (k + 1) * math.log1p(-p) if p < 1.0 else 0.0  # d == 0 here
-    log_val = ((2 * n - k - 1) * math.log(2.0 - survive)
-               - n * LN4
-               + 2 * n * binary_entropy((k + 1) / (2 * n))
-               + damp_term)
-    return math.exp(log_val)
+    return math.exp(log_hs)
 
 
-def trace_deficit_bound(n: int, d: int, p: float, k: int,
-                        require_valid: bool = False) -> float:
-    """Bound on |Tr(rho - sigma)| for cutoff k; equals sqrt(hs_truncation_bound)."""
-    if n < 1 or d < 0 or not (0.0 < p <= 1.0):
-        raise ValueError(f"invalid parameters n={n}, d={d}, p={p}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if require_valid:
-        _require_chernoff(n, d, p, k)
-    if k >= 2 * n:
-        return 0.0
-    if p == 1.0 and d >= 1:
-        return 0.0
-    survive = (1.0 - p) ** d
-    damp_term = 0.5 * d * (k + 1) * math.log1p(-p) if p < 1.0 else 0.0
-    log_val = ((n - (k + 1) / 2) * math.log(2.0 - survive)
-               - n * LN2
-               + n * binary_entropy((k + 1) / (2 * n))
-               + damp_term)
-    return math.exp(log_val)
+def trace_deficit_bound(n: int, d: int, p: float, k: int) -> float:
+    """Bound on |Tr(rho - sigma)| for cutoff k: sqrt(hs_truncation_bound), as exp(log / 2)."""
+    return math.exp(0.5 * _log_hs_bound(n, d, p, k))
 
 
 def exact_trace_deficit(n: int, d: int, p: float, k: int) -> float:
@@ -166,16 +154,21 @@ def _assemble_td(n: int, k: int, eps_prime: float) -> float:
     return (math.exp(log_main) + eps_prime) if log_main < 700.0 else math.inf
 
 
-def td_truncation_bound(n: int, d: int, p: float, k: int,
-                        require_valid: bool = False) -> float:
+def truncation_bounds(n: int, d: int, p: float, k: int) -> tuple[float, float, float]:
+    """(hs_truncation_bound, trace_deficit_bound, td_truncation_bound) at cutoff k."""
+    log_hs = _log_hs_bound(n, d, p, k)
+    hs = math.exp(log_hs)
+    deficit = math.exp(0.5 * log_hs)
+    return hs, deficit, _assemble_td(n, k, max(math.sqrt(hs), deficit))
+
+
+def td_truncation_bound(n: int, d: int, p: float, k: int) -> float:
     """Trace-distance truncation bound (sqrt(rank)+1) eps' at cutoff k.
 
     eps' = max(sqrt(hs bound), trace-deficit bound), rank bounded by the kept
     table size.
     """
-    hs = hs_truncation_bound(n, d, p, k, require_valid=require_valid)
-    deficit = trace_deficit_bound(n, d, p, k, require_valid=require_valid)
-    return _assemble_td(n, k, max(math.sqrt(hs), deficit))
+    return truncation_bounds(n, d, p, k)[2]
 
 
 def depth_threshold(n: int, p: float) -> float:
@@ -189,13 +182,17 @@ def depth_threshold(n: int, p: float) -> float:
     return (4.0 * math.log(n) + 2.0 * LN4) / math.log(1.0 / (1.0 - p))
 
 
+def _certificate_rate(n: int, d: int, p: float) -> tuple[float, float]:
+    """(lambda, (lambda/2 - 2) ln n - ln 4) for p < 1: the certificate's decay per unit of k."""
+    lam = d * math.log(1.0 / (1.0 - p)) / math.log(n)
+    return lam, (lam / 2.0 - 2.0) * math.log(n) - LN4
+
+
 def simplified_certificate(n: int, d: int, p: float, k: int) -> float:
     """2 exp(-(k+1) ((lambda/2 - 2) ln n - ln 4)): the certificate the k rule inverts."""
     if p == 1.0:
         return 0.0
-    lam = d * math.log(1.0 / (1.0 - p)) / math.log(n)
-    denom = (lam / 2.0 - 2.0) * math.log(n) - LN4
-    return 2.0 * math.exp(-(k + 1) * denom)
+    return 2.0 * math.exp(-(k + 1) * _certificate_rate(n, d, p)[1])
 
 
 @dataclass
@@ -213,14 +210,14 @@ class ErrorBudget:
 
     def report_lines(self) -> list[str]:
         return [
-            f"epsilon={format(self.epsilon, '.17g')}",
-            f"delta={format(self.delta, '.17g')}",
+            f"epsilon={format(self.epsilon, FLOAT_FMT)}",
+            f"delta={format(self.delta, FLOAT_FMT)}",
             f"k={self.k}",
-            f"lambda={format(self.lam, '.17g')}",
-            f"depth_threshold={format(self.d_threshold, '.17g')}",
-            f"hs_bound={format(self.hs_bound, '.17g')}",
-            f"trace_deficit_bound={format(self.trace_deficit, '.17g')}",
-            f"td_bound={format(self.td_bound, '.17g')}",
+            f"lambda={format(self.lam, FLOAT_FMT)}",
+            f"depth_threshold={format(self.d_threshold, FLOAT_FMT)}",
+            f"hs_bound={format(self.hs_bound, FLOAT_FMT)}",
+            f"trace_deficit_bound={format(self.trace_deficit, FLOAT_FMT)}",
+            f"td_bound={format(self.td_bound, FLOAT_FMT)}",
         ]
 
 
@@ -235,8 +232,8 @@ def select_k(n: int, d: int, p: float, epsilon: float) -> ErrorBudget:
     """
     if n < 2:
         raise ValueError(f"select_k needs n >= 2, got {n}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0,1], got {p}")
     delta = epsilon / (4.0 + epsilon)
@@ -246,8 +243,7 @@ def select_k(n: int, d: int, p: float, epsilon: float) -> ErrorBudget:
         # one layer of full damping leaves the zero-weight term only
         return ErrorBudget(epsilon, delta, 0, math.inf, d_t, 0.0, 0.0, 0.0)
 
-    lam = d * math.log(1.0 / (1.0 - p)) / math.log(n)
-    denom = (lam / 2.0 - 2.0) * math.log(n) - LN4
+    lam, denom = _certificate_rate(n, d, p)
     if denom <= 0.0:
         raise CertificationError(
             f"cannot certify at depth d={d}: need d > d_T = {d_t:.6g} for n={n}, p={p}")
@@ -255,7 +251,5 @@ def select_k(n: int, d: int, p: float, epsilon: float) -> ErrorBudget:
     k = max(k, math.ceil(chernoff_min_keep(n, d, p) - 1.0))
     k = min(k, 2 * n)
 
-    hs = hs_truncation_bound(n, d, p, k, require_valid=True)
-    deficit = trace_deficit_bound(n, d, p, k)
-    td = _assemble_td(n, k, max(math.sqrt(hs), deficit))
-    return ErrorBudget(epsilon, delta, k, lam, d_t, hs, deficit, td)
+    _require_chernoff(n, d, p, k)
+    return ErrorBudget(epsilon, delta, k, lam, d_t, *truncation_bounds(n, d, p, k))

@@ -15,20 +15,15 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
 from collections import Counter
 
 import numpy as np
 
-from .bounds import (
-    hs_truncation_bound,
-    select_k,
-    td_truncation_bound,
-    trace_deficit_bound,
-)
+from .bounds import hs_truncation_bound, select_k, truncation_bounds
 from .circuit_model import (
     FLOAT_FMT,
     Circuit,
@@ -41,7 +36,7 @@ from .circuit_model import (
 from .dense_oracle import DENSE_N_CAP, evolve_dense
 from .errors import CertificationError, NumericalError
 from .fastpath import build_table_auto
-from .hw_basis import HWCoefficientTable, build_table
+from .hw_basis import build_table
 from .sampler import fourier_table, sample
 
 
@@ -76,24 +71,25 @@ def _load_circuit(args, parser: argparse.ArgumentParser) -> Circuit:
         parser.error(str(exc))
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, opened for writing and closed on exit; stdout when None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _write_table(table: HWCoefficientTable, fmt: str, fh) -> None:
-    if fmt == "csv":
-        fh.write("ket,bra,re,im\n")
-        for (ket, bra), v in table.sorted_items():
-            fh.write(f"{ket:0{table.n}b},{bra:0{table.n}b},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    elif fmt == "jsonl":
-        for (ket, bra), v in table.sorted_items():
-            fh.write(json.dumps({"ket": format(ket, f"0{table.n}b"),
-                                 "bra": format(bra, f"0{table.n}b"),
-                                 "re": v.real, "im": v.imag}) + "\n")
+        yield sys.stdout
     else:
-        fh.write(table.serialize())
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _write_records(out, fmt: str | None, columns: tuple[str, ...], rows) -> None:
+    """One JSON object per row for "jsonl"; otherwise CSV with floats at FLOAT_FMT."""
+    if fmt == "jsonl":
+        for row in rows:
+            out.write(json.dumps(dict(zip(columns, row))) + "\n")
+        return
+    out.write(",".join(columns) + "\n")
+    for row in rows:
+        out.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
@@ -104,27 +100,24 @@ def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     k = args.k
-    n, d, p = circuit.n, circuit.d, circuit.p
-    lines = [
-        f"k={k}",
-        f"hs_bound={_fmt(hs_truncation_bound(n, d, p, k))}",
-        f"trace_deficit_bound={_fmt(trace_deficit_bound(n, d, p, k))}",
-        f"td_bound={_fmt(td_truncation_bound(n, d, p, k))}",
-    ]
-    return k, lines
+    hs, deficit, td = truncation_bounds(circuit.n, circuit.d, circuit.p, k)
+    return k, [f"k={k}", f"hs_bound={_fmt(hs)}", f"trace_deficit_bound={_fmt(deficit)}",
+               f"td_bound={_fmt(td)}"]
 
 
 def cmd_simulate(args, parser) -> int:
     circuit = _load_circuit(args, parser)
     k, report = _pick_cutoff(circuit, args)
     table = build_table_auto(circuit, k)
-    out, is_file = _open_out(args.out)
-    try:
-        _write_table(table, args.format, out)
-    finally:
-        if is_file:
-            out.close()
-    report_fh = sys.stdout if is_file else sys.stderr
+    with _output(args.out) as out:
+        if args.format is None:
+            out.write(table.serialize())
+        else:
+            n = table.n
+            _write_records(out, args.format, ("ket", "bra", "re", "im"),
+                           ((format(ket, f"0{n}b"), format(bra, f"0{n}b"), v.real, v.imag)
+                            for (ket, bra), v in table.sorted_items()))
+    report_fh = sys.stderr if args.out is None else sys.stdout
     for line in report:
         print(line, file=report_fh)
     print(f"entries={len(table.data)}", file=report_fh)
@@ -136,25 +129,17 @@ def cmd_sample(args, parser) -> int:
         parser.error(f"--samples must be >= 0, got {args.samples}")
     circuit = _load_circuit(args, parser)
     k, _ = _pick_cutoff(circuit, args)
-    out, is_file = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.samples == 0:
             return 0
         table = build_table_auto(circuit, k)
         qd = fourier_table(table)
         outcomes = sample(qd, args.samples, args.seed)
-        if args.format == "csv":
-            out.write("outcome,count\n")
-            for outcome, cnt in sorted(Counter(outcomes).items()):
-                out.write(f"{outcome},{cnt}\n")
-        elif args.format == "jsonl":
-            for outcome, cnt in sorted(Counter(outcomes).items()):
-                out.write(json.dumps({"outcome": outcome, "count": cnt}) + "\n")
-        else:
+        if args.format is None:
             out.write("\n".join(outcomes) + "\n")
-    finally:
-        if is_file:
-            out.close()
+        else:
+            _write_records(out, args.format, ("outcome", "count"),
+                           sorted(Counter(outcomes).items()))
     return 0
 
 
@@ -162,25 +147,9 @@ def cmd_bounds(args, parser) -> int:
     circuit = _load_circuit(args, parser)
     n, d, p = circuit.n, circuit.d, circuit.p
     kmax = args.kmax if args.kmax is not None else min(2 * n, 12)
-    rows = []
-    for k in range(kmax + 1):
-        rows.append((k,
-                     hs_truncation_bound(n, d, p, k),
-                     trace_deficit_bound(n, d, p, k),
-                     td_truncation_bound(n, d, p, k)))
-    out, is_file = _open_out(args.out)
-    try:
-        if args.format == "jsonl":
-            for k, hs, tr, td in rows:
-                out.write(json.dumps({"k": k, "hs_bound": hs,
-                                      "trace_bound": tr, "td_bound": td}) + "\n")
-        else:
-            out.write("k,hs_bound,trace_bound,td_bound\n")
-            for k, hs, tr, td in rows:
-                out.write(f"{k},{_fmt(hs)},{_fmt(tr)},{_fmt(td)}\n")
-    finally:
-        if is_file:
-            out.close()
+    rows = [(k, *truncation_bounds(n, d, p, k)) for k in range(kmax + 1)]
+    with _output(args.out) as out:
+        _write_records(out, args.format, ("k", "hs_bound", "trace_bound", "td_bound"), rows)
     return 0
 
 
@@ -265,30 +234,17 @@ def cmd_reproduce_fig2(args, parser) -> int:
     hs = np.array([r[0] for r in results])   # instances x (kmax+1)
     td = np.array([r[1] for r in results])
 
-    bound = [hs_truncation_bound(n, d, p, k, require_valid=False) for k in range(kmax + 1)]
-    out, is_file = _open_out(args.out)
-    try:
-        header = ("k,hs_bound,hs_mean,hs_min,hs_max,td_mean,td_min,td_max,"
-                  "idle_hs,idle_td")
-        if args.format == "jsonl":
-            for k in range(kmax + 1):
-                out.write(json.dumps({
-                    "k": k, "hs_bound": bound[k],
-                    "hs_mean": float(hs[:, k].mean()), "hs_min": float(hs[:, k].min()),
-                    "hs_max": float(hs[:, k].max()),
-                    "td_mean": float(td[:, k].mean()), "td_min": float(td[:, k].min()),
-                    "td_max": float(td[:, k].max()),
-                    "idle_hs": idle_hs[k], "idle_td": idle_td[k]}) + "\n")
-        else:
-            out.write(header + "\n")
-            for k in range(kmax + 1):
-                row = [bound[k], hs[:, k].mean(), hs[:, k].min(), hs[:, k].max(),
-                       td[:, k].mean(), td[:, k].min(), td[:, k].max(),
-                       idle_hs[k], idle_td[k]]
-                out.write(f"{k}," + ",".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if is_file:
-            out.close()
+    bound = [hs_truncation_bound(n, d, p, k) for k in range(kmax + 1)]
+
+    def spread(col) -> tuple[float, float, float]:
+        return float(col.mean()), float(col.min()), float(col.max())
+
+    rows = [(k, bound[k], *spread(hs[:, k]), *spread(td[:, k]), idle_hs[k], idle_td[k])
+            for k in range(kmax + 1)]
+    with _output(args.out) as out:
+        _write_records(out, args.format,
+                       ("k", "hs_bound", "hs_mean", "hs_min", "hs_max",
+                        "td_mean", "td_min", "td_max", "idle_hs", "idle_td"), rows)
 
     violations = [k for k in range(kmax + 1) if hs[:, k].max() > bound[k]]
     dominance = [k for k in range(kmax + 1) if idle_hs[k] < hs[:, k].max()]
@@ -329,12 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target total-variation error; picks k and certifies")
         grp.add_argument("--k", type=int, help="explicit weight cutoff")
 
-    def add_common(sp):
+    def add_common(sp, output=True):
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for random circuits and sampling (default 0)")
-        sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                        help="structured output format (default: native text)")
+        if output:
+            sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+            sp.add_argument("--format", choices=("csv", "jsonl"), default=None,
+                            help="structured output format (default: native text)")
 
     sp = sub.add_parser("simulate", help="write the truncated coefficient table")
     add_source(sp)
@@ -359,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check a circuit file")
     add_source(sp)
-    add_common(sp)
+    add_common(sp, output=False)
     sp.add_argument("--dense-check", action="store_true",
                     help="also compare full-cutoff propagation to the dense oracle (n <= 8)")
     sp.set_defaults(func=cmd_validate)

@@ -23,7 +23,8 @@ two-local propagation:
     with sparse corrections when both sigma qubits touch the same partner
     (their S rows simply add, signed), when they share direct gates (those
     act on sigma x sigma: a phase for equal signs, nothing for mixed), plus
-    deferred single-qubit rotation phases.
+    the single-qubit rotation phases, whose Rz angles are summed per qubit
+    (theta_rz).
   * Flipping every sigma sign conjugates everything, so only the (+,+) and
     (+,-) sign patterns are computed; the rest are mirrored.
 """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .circuit_model import Circuit
+from .circuit_model import FLOAT_FMT, Circuit
 from .frame_engine import MINUS, PLUS, FrameString, initial_strings, propagate
 
 
@@ -214,16 +214,14 @@ class HWCoefficientTable:
         return len(self._data)
 
     def add(self, ket: int, bra: int, value: complex) -> None:
+        if (ket | bra) >> self.n:  # nonzero for a negative mask or one >= 2^n
+            raise ValueError(f"masks must lie in [0, 2^{self.n}), got ket={ket}, bra={bra}")
         if ket.bit_count() + bra.bit_count() > self.cutoff:
             raise ValueError("entry weight exceeds cutoff")
         self._data.add_pair(ket, bra, value)
 
     def get(self, ket: int, bra: int) -> complex:
         return self._data.get((ket, bra), 0.0)
-
-    def max_size(self) -> int:
-        """Upper limit sum_{m<=cutoff} C(2n, m) on the number of entries."""
-        return sum(math.comb(2 * self.n, m) for m in range(min(self.cutoff, 2 * self.n) + 1))
 
     def hermiticity_defect(self) -> float:
         raw = self._data.raw
@@ -266,7 +264,7 @@ class HWCoefficientTable:
         lines = []
         for (ket, bra), v in self.sorted_items():
             lines.append(f"{ket:0{width}b} {bra:0{width}b} "
-                         f"{format(v.real, '.17g')} {format(v.imag, '.17g')}")
+                         f"{format(v.real, FLOAT_FMT)} {format(v.imag, FLOAT_FMT)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def trace(self) -> complex:

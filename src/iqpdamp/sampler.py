@@ -83,6 +83,8 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     n = qd.n
     if k > n:
         raise ValueError(f"prefix longer than n={n}: {prefix!r}")
+    if prefix.strip("01"):
+        raise ValueError(f"prefix must consist of 0s and 1s, got {prefix!r}")
     y = int(prefix, 2) if k else 0
     shift = n - k
     suffix_mask = (1 << shift) - 1

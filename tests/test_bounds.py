@@ -130,6 +130,26 @@ def test_trace_bound_is_sqrt_of_hs_bound():
         assert trace_deficit_bound(n, d, p, k) == pytest.approx(math.sqrt(hs), rel=1e-12)
 
 
+def standalone_trace_deficit(n, d, p, k):
+    """The trace-deficit bound written out with every exponent of the HS bound halved."""
+    if k >= 2 * n or (p == 1.0 and d >= 1):
+        return 0.0
+    survive = (1.0 - p) ** d
+    damp_term = 0.5 * d * (k + 1) * math.log1p(-p) if p < 1.0 else 0.0
+    return math.exp((n - (k + 1) / 2) * math.log(2.0 - survive)
+                    - n * math.log(2.0)
+                    + n * binary_entropy((k + 1) / (2 * n))
+                    + damp_term)
+
+
+def test_trace_bound_equals_standalone_formula_exactly():
+    for n in (1, 2, 3, 5, 8, 13, 40, 300):
+        for d in (0, 1, 2, 7, 30):
+            for p in (0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0):
+                for k in {0, 1, 2, 3, n, 2 * n - 1, 2 * n, 2 * n + 3}:
+                    assert trace_deficit_bound(n, d, p, k) == standalone_trace_deficit(n, d, p, k)
+
+
 def test_trace_bound_closed_form_at_top():
     n, d, p = 4, 7, 0.35
     expected = 2.0 ** -n * (1 - p) ** (n * d)
@@ -282,6 +302,9 @@ def test_select_k_input_validation():
         select_k(4, 30, 0.3, 0.0)
     with pytest.raises(ValueError):
         select_k(4, 30, 1.2, 0.2)
+    for eps in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            select_k(4, 30, 0.4, eps)
 
 
 def test_select_k_scaling_at_fixed_noise_rate():

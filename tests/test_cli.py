@@ -133,18 +133,23 @@ def test_sample_rejects_negative_count():
 
 
 def test_bounds_csv_matches_functions(tmp_path):
-    out = tmp_path / "b.csv"
-    code = run(["bounds", "--random", "4,30,0.4", "--kmax", "3", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "k,hs_bound,trace_bound,td_bound"
-    assert len(lines) == 5
-    for k, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        assert int(fields[0]) == k
-        assert float(fields[1]) == pytest.approx(hs_truncation_bound(4, 30, 0.4, k))
-        assert float(fields[2]) == pytest.approx(trace_deficit_bound(4, 30, 0.4, k))
-        assert float(fields[3]) == pytest.approx(td_truncation_bound(4, 30, 0.4, k))
+    # p = 1 and the cutoffs k >= 2n must read 0 in both formats
+    for n, d, p in ((4, 30, 0.4), (5, 2, 0.3), (3, 4, 1.0)):
+        argv = ["bounds", "--random", f"{n},{d},{p}", "--kmax", str(2 * n + 2)]
+        csv_out, jsonl_out = tmp_path / "b.csv", tmp_path / "b.jsonl"
+        assert run(argv + ["--out", str(csv_out)]) == 0
+        assert run(argv + ["--format", "jsonl", "--out", str(jsonl_out)]) == 0
+        lines = csv_out.read_text().splitlines()
+        assert lines[0] == "k,hs_bound,trace_bound,td_bound"
+        assert len(lines) == 2 * n + 4
+        rows = [json.loads(ln) for ln in jsonl_out.read_text().splitlines()]
+        for k, (row, line) in enumerate(zip(rows, lines[1:], strict=True)):
+            expected = (k, hs_truncation_bound(n, d, p, k), trace_deficit_bound(n, d, p, k),
+                        td_truncation_bound(n, d, p, k))
+            assert tuple(float(x) for x in line.split(",")) == expected
+            assert row == dict(zip(lines[0].split(","), expected))
+            if p == 1.0 or k >= 2 * n:
+                assert expected[1:] == (0.0, 0.0, 0.0)
 
 
 def test_bounds_default_kmax(capsys):
@@ -173,6 +178,24 @@ def test_validate_dense_check(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["validate", "--random", "9,3,0.2", "--dense-check"])
     assert exc.value.code == 2
+
+
+def test_validate_takes_no_output_options(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    for extra in (["--out", str(out)], ["--format", "jsonl"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--random", "3,4,0.2"] + extra)
+        assert exc.value.code == 2
+    assert not out.exists()
+    assert run(["validate", "--random", "3,4,0.2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_non_finite_epsilon_exits_two(capsys):
+    for eps in ("nan", "inf"):
+        code = run(["simulate", "--random", "4,30,0.4", "--epsilon", eps])
+        assert code == 2
+        assert "error: epsilon must be finite and > 0" in capsys.readouterr().err
 
 
 def test_certification_refusal_exit_code(capsys):
@@ -230,6 +253,21 @@ def test_reproduce_fig2_small_sweep(tmp_path, capsys, monkeypatch):
             hs_truncation_bound(5, 4, 0.2, k, require_valid=False))
     err = capsys.readouterr().err
     assert err.count("observation:") == 2
+
+
+def test_reproduce_fig2_csv_and_jsonl_agree(tmp_path, monkeypatch):
+    monkeypatch.setenv("IQPDAMP_THREADS", "1")
+    argv = ["reproduce-fig2", "--n", "4", "--d", "3", "--p", "0.3",
+            "--instances", "2", "--kmax", "3", "--seed", "5"]
+    csv_out, jsonl_out = tmp_path / "f.csv", tmp_path / "f.jsonl"
+    assert run(argv + ["--out", str(csv_out)]) == 0
+    assert run(argv + ["--format", "jsonl", "--out", str(jsonl_out)]) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    rows = [json.loads(ln) for ln in jsonl_out.read_text().splitlines()]
+    assert len(rows) == len(lines) == 4
+    for row, line in zip(rows, lines):
+        assert list(row) == header.split(",")
+        assert list(row.values()) == [float(x) for x in line.split(",")]
 
 
 def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch):

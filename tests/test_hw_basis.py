@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iqpdamp.bounds import coefficient_bound
+from iqpdamp.bounds import coefficient_bound, table_size_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import evolve_dense
 from iqpdamp.hw_basis import (
@@ -84,6 +84,12 @@ def test_table_add_get_and_cutoff():
     assert len(t) == 1
     with pytest.raises(ValueError):
         t.add(0b110, 0b100, 1.0)  # weight 3 > cutoff 2
+    for ket, bra in ((0b1000, 0), (0, 0b1000), (-1, 0), (0, -4), (1 << 8, 1)):
+        with pytest.raises(ValueError, match="masks must lie in"):
+            t.add(ket, bra, 0.5)
+    assert len(t) == 1
+    t.add(0b011, 0, 0.5)
+    assert parse_table(t.serialize()).data == t.data
     with pytest.raises(ValueError):
         HWCoefficientTable(2, 5)
 
@@ -93,8 +99,8 @@ def test_table_size_never_exceeds_max_size():
         c = random_circuit(4, 5, 0.3, seed=seed)
         for cutoff in (0, 2, 4, 8):
             t = build_table(c, cutoff)
-            assert len(t) <= t.max_size()
-            assert t.max_size() == sum(math.comb(8, m) for m in range(cutoff + 1))
+            assert len(t) <= table_size_bound(4, cutoff)
+            assert table_size_bound(4, cutoff) == sum(math.comb(8, m) for m in range(cutoff + 1))
 
 
 def test_idle_weight_zero_entry():

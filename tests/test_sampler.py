@@ -60,6 +60,9 @@ def test_marginal_uniform_and_bad_prefix():
         assert marginal(qd, prefix) == pytest.approx(2.0 ** -len(prefix))
     with pytest.raises(ValueError, match="prefix"):
         marginal(qd, "00000")
+    for prefix in ("0b1", "1_0", " 01", "+1", "-1", "012", "1 ", "\u0661"):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            marginal(qd, prefix)
 
 
 def test_marginal_closed_form_on_idle_qubit():
