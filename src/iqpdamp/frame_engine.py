@@ -7,7 +7,10 @@ damping map every frame string to finitely many frame strings, so strings can
 be pushed through a whole circuit in closed form: two-qubit controlled phases
 never branch, an l-local controlled phase branches into at most 2^(l-1) + 1
 strings, and damping rescales coefficients while contracting the diagonal
-arguments a_t.
+arguments a_t. Branches of one string share its slot kinds, so branches with
+equal diagonal arguments are one operator up to beta; `propagate` merges them
+by summing their betas, so a string's branch count stays within the product
+bound stated there instead of growing exponentially with depth.
 
 beta is stored as a complex logarithm (real part: log magnitude, imaginary
 part: phase) so deep circuits at large n cannot underflow; beta == 0 is the
@@ -144,7 +147,8 @@ def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> Bra
         branch plus 2^m branches whose diagonal arguments become +/-1 with the
         old arguments folded into the branch weights.
     Branch count is at most 2^(l-1) + 1. The matrices of the returned branches
-    sum to the exact conjugation.
+    sum to the exact conjugation. In the two unchanged cases the result holds
+    `s` itself, not a copy; every other branch is a new string.
     """
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target in {targets}")
@@ -155,10 +159,10 @@ def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> Bra
     offdiag = [q for q in targets if s.kinds[q] != DIAG]
     diag = [q for q in targets if s.kinds[q] == DIAG]
     if not offdiag:
-        return [s.copy()]
+        return [s]
     signs = {s.kinds[q] for q in offdiag}
     if len(signs) > 1:
-        return [s.copy()]
+        return [s]
     sign = signs.pop()
     phase = cmath.exp(1j * sign * theta)
 
@@ -213,6 +217,34 @@ def apply_damping_layer(s: FrameString, p: float) -> FrameString:
     return out
 
 
+def _merge_equal(branches: BranchSet) -> BranchSet:
+    """Merge branches with equal diagonal arguments into one by summing their betas.
+
+    The branches of one string share its kinds and the key order of
+    `diag_args`, so equal argument tuples mean equal operators up to beta.
+    Groups keep first-seen order and each sum runs in branch order, scaled by
+    the group's largest |beta| so it neither underflows nor overflows. A group
+    whose sum is exactly 0 is dropped. The merged string is the group's first
+    branch, updated in place.
+    """
+    groups: dict[tuple, list[FrameString]] = {}
+    for b in branches:
+        groups.setdefault(tuple(b.diag_args.values()), []).append(b)
+    out: BranchSet = []
+    for group in groups.values():
+        head = group[0]
+        if len(group) > 1:
+            ref = max(b.log_beta.real for b in group)
+            if ref == -math.inf:
+                continue
+            total = sum(cmath.exp(b.log_beta - ref) for b in group)
+            if total == 0:
+                continue
+            head.log_beta = cmath.log(total) + ref
+        out.append(head)
+    return out
+
+
 def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
     """Push one string through the whole circuit.
 
@@ -224,6 +256,21 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
     summed over the Rz gates in circuit order and added to each surviving
     branch's log beta once, at the end. Strings whose beta hits exactly 0 are
     dropped.
+
+    Branches with equal diagonal arguments are merged (`_merge_equal`) after
+    every controlled-phase gate that branched, so no two returned branches
+    share their arguments. Damping needs no merge: for p < 1 it maps
+    arguments injectively, and at p = 1 it zeroes every string that holds a
+    sigma, the only strings that branch.
+
+    Branch-count bound: a string propagates to at most prod_q (1 + 2 R_q)
+    branches, where R_q counts the gates that branch the string (same-sign
+    sigmas and at least two diagonal targets) and cover diagonal slot q. A
+    branching gate either leaves slot q's argument alone or resets it to +1
+    or -1, and after such a reset every later operation on the slot is the
+    same in every branch. So slot q ends with the unreset argument or with
+    one of two values per resetting gate, and merging keeps one branch per
+    distinct tuple of arguments.
     """
     if s.n != circuit.n:
         raise ValueError(f"string has n={s.n}, circuit has n={circuit.n}")
@@ -237,7 +284,7 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
                 nxt: BranchSet = []
                 for b in work:
                     nxt.extend(llocal_branch(b, g.targets, g.theta))
-                work = nxt
+                work = nxt if len(nxt) == len(work) else _merge_equal(nxt)
             else:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
         work = [apply_damping_layer(b, circuit.p) for b in work]

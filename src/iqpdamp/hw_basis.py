@@ -14,7 +14,6 @@ import math
 from collections.abc import ItemsView, Mapping, MutableMapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .circuit_model import FLOAT_FMT, Circuit
 from .frame_engine import MINUS, PLUS, FrameString, initial_strings, propagate
@@ -281,8 +280,12 @@ class HWCoefficientTable:
 
 
 def parse_table(text: str) -> HWCoefficientTable:
-    """Inverse of HWCoefficientTable.serialize; cutoff is the largest weight present."""
-    entries = []
+    """Inverse of HWCoefficientTable.serialize; cutoff is the largest weight present.
+
+    Bit strings must consist of 0s and 1s, and each (ket, bra) index may
+    appear on one line only.
+    """
+    entries: dict[tuple[int, int], complex] = {}
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -296,12 +299,18 @@ def parse_table(text: str) -> HWCoefficientTable:
             n = len(ket_s)
         if len(ket_s) != n or len(bra_s) != n:
             raise ValueError(f"line {lineno}: inconsistent bitstring width")
-        entries.append((int(ket_s, 2), int(bra_s, 2), complex(float(re_s), float(im_s))))
+        if ket_s.strip("01") or bra_s.strip("01"):
+            raise ValueError(f"line {lineno}: bit strings must consist of 0s and 1s, "
+                             f"got {ket_s!r} {bra_s!r}")
+        key = (int(ket_s, 2), int(bra_s, 2))
+        if key in entries:
+            raise ValueError(f"line {lineno}: repeated entry {ket_s} {bra_s}")
+        entries[key] = complex(float(re_s), float(im_s))
     if n is None:
         raise ValueError("empty table document")
-    cutoff = max((k.bit_count() + b.bit_count() for k, b, _ in entries), default=0)
+    cutoff = max((k.bit_count() + b.bit_count() for k, b in entries), default=0)
     table = HWCoefficientTable(n, cutoff)
-    for ket, bra, v in entries:
+    for (ket, bra), v in entries.items():
         table.add(ket, bra, v)
     return table
 
@@ -321,34 +330,15 @@ def _string_masks(s: FrameString) -> tuple[int, int, list[int]]:
     return ket, bra, diag
 
 
-def _contributions(branch: FrameString, cutoff: int) -> Iterator[tuple[int, int, complex]]:
-    """(ket, bra, alpha contribution) of one propagated branch, weights <= cutoff.
-
-    A branch whose off-diagonal slots match an index (a, b) exactly contributes
-    beta times the product, over diagonal slots inside the index's (1,1)
-    positions, of the final argument a_t; all other indices get 0 from it.
-    """
-    m = branch.offdiag_count
-    if m > cutoff:
-        return
-    beta = branch.beta
-    if beta == 0:
-        return
-    ket0, bra0, diag = _string_masks(branch)
-    n = branch.n
-    yield ket0, bra0, beta
-    for j in range(1, (cutoff - m) // 2 + 1):
-        for subset in combinations(diag, j):
-            value = beta
-            bits = 0
-            for q in subset:
-                value *= branch.diag_args[q]
-                bits |= 1 << (n - 1 - q)
-            yield ket0 | bits, bra0 | bits, value
-
-
 def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoefficientTable:
     """Propagate every needed initial string through `circuit` and extract the table.
+
+    A propagated branch whose off-diagonal slots match an index (a, b) exactly
+    contributes beta times the product, over diagonal slots inside the index's
+    (1,1) positions, of the final argument a_t; all other indices get 0 from
+    it. Every branch of a string hits the same indices and each index of
+    weight <= cutoff comes from exactly one initial string, so each entry is
+    the sum over that string's branches, in branch order, added once.
 
     With mirror=True only one string of each Hermitian-conjugate pair is
     propagated; the partner's contributions are the mirrored conjugates, which
@@ -363,8 +353,22 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
         if mirror and slots and slots[0][1] == MINUS:
             continue  # covered by its adjoint's mirror
         mirrored = mirror and bool(slots)
-        for branch in propagate(s, circuit):
-            # _contributions yields weights <= cutoff only, so table.add's check is skipped
-            for ket, bra, v in _contributions(branch, cutoff):
-                data.add_pair(ket, bra, v, mirrored)
+        live = [(b.beta, b.diag_args) for b in propagate(s, circuit)]
+        live = [(beta, args) for beta, args in live if beta != 0]
+        if not live:
+            continue
+        ket0, bra0, diag = _string_masks(s)
+        # weights stay <= cutoff by construction, so table.add's check is skipped
+        for j in range((cutoff - len(slots)) // 2 + 1):
+            for subset in combinations(diag, j):
+                bits = 0
+                for q in subset:
+                    bits |= 1 << (n - 1 - q)
+                total = 0.0
+                for beta, args in live:
+                    value = beta
+                    for q in subset:
+                        value *= args[q]
+                    total += value
+                data.add_pair(ket0 | bits, bra0 | bits, total, mirrored)
     return table

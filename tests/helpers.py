@@ -44,6 +44,26 @@ def random_frame_string(rng, n):
     return FrameString(n, kinds, args, cmath.log(beta))
 
 
+def branch_count_bound(s, circuit):
+    """prod_q (1 + 2 R_q), R_q = gates that branch `s` and cover its diagonal slot q.
+
+    A gate branches the string when its targets hold sigmas of one sign and at
+    least two diagonal slots.
+    """
+    from iqpdamp.frame_engine import DIAG
+
+    resets = [0] * s.n
+    for _, g in circuit.gates():
+        if g.kind != "cphase":
+            continue
+        kinds = [s.kinds[q] for q in g.targets]
+        if len({k for k in kinds if k != DIAG}) == 1 and kinds.count(DIAG) >= 2:
+            for q in g.targets:
+                if s.kinds[q] == DIAG:
+                    resets[q] += 1
+    return math.prod(1 + 2 * r for r in resets)
+
+
 def weight_matrix(n):
     """weight[a, b] = popcount(a) + popcount(b)."""
     pop = np.array([bin(i).count("1") for i in range(1 << n)])

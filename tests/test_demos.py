@@ -1,0 +1,30 @@
+"""Run the demos that finish in seconds and check the numbers they print.
+
+05_large_scale.py (n = 1000) is left out: it takes minutes.
+"""
+
+import re
+import runpy
+from pathlib import Path
+
+from helpers import branch_count_bound
+from iqpdamp.circuit_model import random_circuit
+from iqpdamp.frame_engine import PLUS, initial_strings
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_multiqubit_branching_demo(capsys):
+    runpy.run_path(str(DEMOS / "04_multiqubit_branching.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "branch count: 5 (cap for 3-local gates: 2^2 + 1 = 5)" in out
+    assert len(re.findall(r"^branch \d: ", out, re.MULTILINE)) == 5
+    deviation = float(re.search(r"max deviation (\S+)", out).group(1))
+    assert deviation < 1e-12
+
+    count, bound = (int(x) for x in re.search(
+        r"(\d+) merged branches \(bound prod\(1 \+ 2 R_q\) = (\d+)\)", out).groups())
+    circuit = random_circuit(7, 6, 0.9, locality=3, seed=3)
+    s = next(x for x in initial_strings(7, 1) if x.kinds[4] == PLUS)
+    assert bound == branch_count_bound(s, circuit) == 945
+    assert count == 96

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import phase_gate_matrix, random_frame_string
+from helpers import branch_count_bound, phase_gate_matrix, random_frame_string
 from iqpdamp.circuit_model import Circuit, Gate, idle_circuit, random_circuit
 from iqpdamp.dense_oracle import apply_damping_dense, evolve_dense
 from iqpdamp.frame_engine import (
@@ -364,22 +364,52 @@ def gate_by_gate(s, circuit):
     return work
 
 
+def merged_by_args(branches):
+    """(kinds, diag_args, summed beta) per distinct diag_args, in first-seen order."""
+    groups = {}
+    for b in branches:
+        key = tuple(b.diag_args.values())
+        if key in groups:
+            groups[key][2] += b.beta
+        else:
+            groups[key] = [b.kinds, b.diag_args, b.beta]
+    return list(groups.values())
+
+
 def test_propagate_matches_gate_by_gate_reference():
     n, d = 5, 4
-    branched = 0
+    branched = merged = 0
     for locality, seed in ((3, 12), (3, 13), (4, 14), (4, 15)):
         circuit = random_circuit(n, d, 0.35, locality=locality, seed=seed)
         assert any(g.kind == "rz" for _, g in circuit.gates())
         for s in initial_strings(n, 3):
             got = propagate(s, circuit)
-            want = gate_by_gate(s, circuit)
+            unmerged = gate_by_gate(s, circuit)
+            want = merged_by_args(unmerged)
+            assert len({tuple(b.diag_args.values()) for b in got}) == len(got)
             assert len(got) == len(want)
             branched += len(got) > 1
-            for a, b in zip(got, want):
-                assert a.kinds == b.kinds
-                assert a.diag_args == b.diag_args
-                assert abs(a.log_beta - b.log_beta) <= 1e-12
+            merged += len(got) < len(unmerged)
+            for a, (kinds, args, beta) in zip(got, want):
+                assert a.kinds == kinds
+                assert a.diag_args == args
+                assert abs(a.beta - beta) <= 1e-12 * abs(beta)
     assert branched
+    assert merged
+
+
+def test_propagate_branch_count_bound():
+    cases = reached = 0
+    for locality in (3, 4):
+        for n, d in ((5, 4), (6, 5), (7, 6)):
+            for seed in range(2):
+                circuit = random_circuit(n, d, 0.5, locality=locality, seed=20 + seed)
+                for s in initial_strings(n, 3):
+                    count, bound = len(propagate(s, circuit)), branch_count_bound(s, circuit)
+                    assert count <= bound, (locality, n, d, seed, s.kinds)
+                    cases += 1
+                    reached += count == bound
+    assert 0 < reached < cases
 
 
 def test_propagate_rejects_out_of_range_rotation():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from iqpdamp import hw_basis
 from iqpdamp.bounds import coefficient_bound, table_size_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import evolve_dense
+from iqpdamp.frame_engine import propagate
 from iqpdamp.hw_basis import (
     HWCoefficientTable,
     HWIndex,
@@ -210,3 +212,36 @@ def test_parse_table_accepts_comments_and_rejects_garbage():
         parse_table("00 00 1 0\n010 000 1 0\n")
     with pytest.raises(ValueError, match="empty"):
         parse_table("# nothing\n")
+
+
+@pytest.mark.parametrize("text", ["0b1 000 1 0\n", "+01 1_0 1 0\n", "0\u0661 00 1 0\n",
+                                  "00 00 1 0\n01 1x 1 0\n"])
+def test_parse_table_rejects_non_binary_digits(text):
+    line = text.count("\n")
+    with pytest.raises(ValueError, match=f"line {line}: bit strings must consist of 0s and 1s"):
+        parse_table(text)
+
+
+def test_parse_table_rejects_repeated_index():
+    with pytest.raises(ValueError, match="line 3: repeated entry 01 10"):
+        parse_table("01 10 1 0\n00 00 1 0\n01 10 2 0\n")
+
+
+def test_hard_three_local_layout_stays_small(monkeypatch):
+    # unmerged propagation makes 393,686 branches for this table
+    circuit = random_circuit(7, 6, 0.9, locality=3, seed=3)
+    counts = []
+
+    def counting(s, c):
+        branches = propagate(s, c)
+        counts.append(len(branches))
+        return branches
+
+    monkeypatch.setattr(hw_basis, "propagate", counting)
+    table = build_table(circuit, 2)
+    assert sum(counts) == 4884
+    assert len(counts) == 50
+    rho = evolve_dense(circuit).rho
+    assert len(table) == 106
+    for (ket, bra), v in table.data.items():
+        assert abs(v - rho[ket, bra]) < 1e-10
