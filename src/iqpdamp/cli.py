@@ -7,9 +7,9 @@ Subcommands:
   validate        parse/validate a circuit file, optionally against the oracle
   reproduce-fig2  bound-vs-measured-error sweep over seeded random circuits
 
-Exit codes: 0 success, 2 usage or circuit-format error, 3 certification
-refusal, 4 numerical failure. IQPDAMP_THREADS overrides the reproduce-fig2
-worker count.
+Exit codes: 0 success, 2 usage or circuit-format error or an oversized
+request, 3 certification refusal, 4 numerical failure. IQPDAMP_THREADS
+overrides the reproduce-fig2 worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .bounds import hs_truncation_bound, select_k, truncation_bounds
+from .bounds import hs_truncation_bound, select_k, table_size_bound, truncation_bounds
 from .circuit_model import (
     FLOAT_FMT,
     Circuit,
@@ -38,6 +38,12 @@ from .errors import CertificationError, NumericalError
 from .fastpath import build_table_auto
 from .hw_basis import build_table
 from .sampler import fourier_table, sample
+
+
+# Largest table_size_bound(n, k) that simulate and sample accept. The bound also
+# caps the initial-string count, sum_j 2^j C(n, j); requests above it would run
+# for hours or exhaust memory.
+MAX_TABLE_ENTRIES = 10 ** 7
 
 
 def _fmt(x: float) -> str:
@@ -93,16 +99,27 @@ def _write_records(out, fmt: str | None, columns: tuple[str, ...], rows) -> None
 
 
 def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
-    """Resolve the cutoff and the budget-report lines from --epsilon or --k."""
+    """Resolve the cutoff and the budget-report lines from --epsilon or --k.
+
+    Refuses a cutoff whose table could exceed MAX_TABLE_ENTRIES entries.
+    """
     if args.epsilon is not None:
         budget = select_k(circuit.n, circuit.d, circuit.p, args.epsilon)
-        return budget.k, budget.report_lines()
-    if args.k < 0:
-        raise ValueError(f"--k must be >= 0, got {args.k}")
-    k = args.k
-    hs, deficit, td = truncation_bounds(circuit.n, circuit.d, circuit.p, k)
-    return k, [f"k={k}", f"hs_bound={_fmt(hs)}", f"trace_deficit_bound={_fmt(deficit)}",
-               f"td_bound={_fmt(td)}"]
+        k, report = budget.k, budget.report_lines()
+    else:
+        if args.k < 0:
+            raise ValueError(f"--k must be >= 0, got {args.k}")
+        k = args.k
+        hs, deficit, td = truncation_bounds(circuit.n, circuit.d, circuit.p, k)
+        report = [f"k={k}", f"hs_bound={_fmt(hs)}", f"trace_deficit_bound={_fmt(deficit)}",
+                  f"td_bound={_fmt(td)}"]
+    size = table_size_bound(circuit.n, k)
+    if size > MAX_TABLE_ENTRIES:
+        from decimal import Decimal  # formats sizes past the float range
+
+        raise ValueError(f"cutoff k={k} at n={circuit.n} allows up to {Decimal(size):.3g} table "
+                         f"entries, above the limit of {MAX_TABLE_ENTRIES:.3g}")
+    return k, report
 
 
 def cmd_simulate(args, parser) -> int:

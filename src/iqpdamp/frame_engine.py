@@ -12,6 +12,10 @@ equal diagonal arguments are one operator up to beta; `propagate` merges them
 by summing their betas, so a string's branch count stays within the product
 bound stated there instead of growing exponentially with depth.
 
+Strings are immutable: every step builds new strings and never edits its
+input or the argument dict it holds, so a step that leaves the diagonal
+arguments unchanged shares its input's dict instead of copying it.
+
 beta is stored as a complex logarithm (real part: log magnitude, imaginary
 part: phase) so deep circuits at large n cannot underflow; beta == 0 is the
 special value log_beta.real == -inf.
@@ -21,9 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,12 +39,7 @@ DIAG = 0    # I(a) = |0><0| + a|1><1|
 _LOG_ZERO = complex(-math.inf, 0.0)
 
 
-def _log_of(z: complex) -> complex:
-    return _LOG_ZERO if z == 0 else cmath.log(z)
-
-
-@dataclass
-class FrameString:
+class FrameString(NamedTuple):
     """One frame string: per-qubit slot kinds, diagonal arguments, and log(beta)."""
 
     n: int
@@ -55,16 +53,9 @@ class FrameString:
             return 0.0
         return cmath.exp(self.log_beta)
 
-    @property
-    def offdiag_count(self) -> int:
-        return sum(1 for k in self.kinds if k != DIAG)
-
     def offdiag_slots(self) -> list[tuple[int, int]]:
         """(qubit, sign) for every non-diagonal slot."""
         return [(q, k) for q, k in enumerate(self.kinds) if k != DIAG]
-
-    def copy(self) -> "FrameString":
-        return FrameString(self.n, self.kinds, dict(self.diag_args), self.log_beta)
 
     def adjoint(self) -> "FrameString":
         """Slotwise Hermitian conjugate: Plus <-> Minus, conjugated args and beta."""
@@ -74,9 +65,6 @@ class FrameString:
             {q: a.conjugate() for q, a in self.diag_args.items()},
             self.log_beta.conjugate(),
         )
-
-    def scale(self, factor: complex) -> None:
-        self.log_beta += _log_of(factor)
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n realization, for oracle cross-checks at small n."""
@@ -117,7 +105,7 @@ def initial_strings(n: int, max_offdiag: int) -> Iterator[FrameString]:
                 kinds = [DIAG] * n
                 for q, s in zip(positions, signs):
                     kinds[q] = s
-                yield FrameString(n, tuple(kinds), dict(diag), log_beta)
+                yield FrameString(n, tuple(kinds), diag, log_beta)
 
 
 def _rotation_phase(s: FrameString, qubit: int, theta: float) -> float:
@@ -129,9 +117,7 @@ def _rotation_phase(s: FrameString, qubit: int, theta: float) -> float:
 
 def apply_single_qubit_rotation(s: FrameString, qubit: int, theta: float) -> FrameString:
     """Conjugate by e^{i theta Z} on one qubit: sigma_+/- pick up e^{-/+ 2i theta}."""
-    out = s.copy()
-    out.log_beta += complex(0.0, _rotation_phase(s, qubit, theta))
-    return out
+    return s._replace(log_beta=s.log_beta + complex(0.0, _rotation_phase(s, qubit, theta)))
 
 
 def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> BranchSet:
@@ -147,48 +133,46 @@ def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> Bra
         branch plus 2^m branches whose diagonal arguments become +/-1 with the
         old arguments folded into the branch weights.
     Branch count is at most 2^(l-1) + 1. The matrices of the returned branches
-    sum to the exact conjugation. In the two unchanged cases the result holds
-    `s` itself, not a copy; every other branch is a new string.
+    sum to the exact conjugation.
     """
+    n, kinds, args, log_beta = s
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target in {targets}")
+    diag = []
+    signs = set()
     for q in targets:
-        if not (0 <= q < s.n):
-            raise IndexError(f"target {q} out of range [0, {s.n})")
-
-    offdiag = [q for q in targets if s.kinds[q] != DIAG]
-    diag = [q for q in targets if s.kinds[q] == DIAG]
-    if not offdiag:
-        return [s]
-    signs = {s.kinds[q] for q in offdiag}
-    if len(signs) > 1:
+        if not (0 <= q < n):
+            raise IndexError(f"target {q} out of range [0, {n})")
+        if kinds[q] == DIAG:
+            diag.append(q)
+        else:
+            signs.add(kinds[q])
+    if len(signs) != 1:
         return [s]
     sign = signs.pop()
     phase = cmath.exp(1j * sign * theta)
 
     if not diag:
-        out = s.copy()
-        out.log_beta += complex(0.0, sign * theta)
-        return [out]
+        return [FrameString(n, kinds, args, log_beta + complex(0.0, sign * theta))]
     if len(diag) == 1:
-        out = s.copy()
-        out.diag_args[diag[0]] *= phase
-        return [out]
+        rotated = dict(args)
+        rotated[diag[0]] *= phase
+        return [FrameString(n, kinds, rotated, log_beta)]
 
     m = len(diag)
-    branches = [s.copy()]  # identity branch
+    branches = [s]  # identity branch
     prod_a = 1.0 + 0.0j
     for q in diag:
-        prod_a *= s.diag_args[q]
+        prod_a *= args[q]
     base = (phase - 1.0) * prod_a / (2 ** m)
     if base == 0:
         return branches
     for pattern in product((0, 1), repeat=m):
-        b = s.copy()
-        b.scale(base * (-1) ** sum(pattern))
+        reset = dict(args)
         for q, x in zip(diag, pattern):
-            b.diag_args[q] = -1.0 + 0.0j if x else 1.0 + 0.0j
-        branches.append(b)
+            reset[q] = -1.0 + 0.0j if x else 1.0 + 0.0j
+        branches.append(FrameString(n, kinds, reset,
+                                    log_beta + cmath.log(base * (-1) ** sum(pattern))))
     return branches
 
 
@@ -201,20 +185,21 @@ def apply_damping_layer(s: FrameString, p: float) -> FrameString:
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0,1], got {p}")
-    out = s.copy()
-    off = s.offdiag_count
+    n, kinds, args, log_beta = s
+    off = n - len(args)
     if off:
-        out.log_beta += complex(0.5 * off * math.log1p(-p) if p < 1.0 else -math.inf, 0.0)
+        log_beta += complex(0.5 * off * math.log1p(-p) if p < 1.0 else -math.inf, 0.0)
     shrink = 1.0 - p
-    for q, a in out.diag_args.items():
+    out = {}
+    for q, a in args.items():
         w = 1.0 + a * p
         if w == 0:
-            out.log_beta = _LOG_ZERO
-            out.diag_args[q] = 0.0j
+            log_beta = _LOG_ZERO
+            out[q] = 0.0j
             continue
-        out.log_beta += _log_of(w)
-        out.diag_args[q] = a * shrink / w
-    return out
+        log_beta += cmath.log(w)
+        out[q] = a * shrink / w
+    return FrameString(n, kinds, out, log_beta)
 
 
 def _merge_equal(branches: BranchSet) -> BranchSet:
@@ -224,8 +209,7 @@ def _merge_equal(branches: BranchSet) -> BranchSet:
     `diag_args`, so equal argument tuples mean equal operators up to beta.
     Groups keep first-seen order and each sum runs in branch order, scaled by
     the group's largest |beta| so it neither underflows nor overflows. A group
-    whose sum is exactly 0 is dropped. The merged string is the group's first
-    branch, updated in place.
+    whose sum is exactly 0 is dropped.
     """
     groups: dict[tuple, list[FrameString]] = {}
     for b in branches:
@@ -240,7 +224,7 @@ def _merge_equal(branches: BranchSet) -> BranchSet:
             total = sum(cmath.exp(b.log_beta - ref) for b in group)
             if total == 0:
                 continue
-            head.log_beta = cmath.log(total) + ref
+            head = head._replace(log_beta=cmath.log(total) + ref)
         out.append(head)
     return out
 
@@ -275,7 +259,7 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
     if s.n != circuit.n:
         raise ValueError(f"string has n={s.n}, circuit has n={circuit.n}")
     phase = 0.0
-    work: BranchSet = [s.copy()]
+    work: BranchSet = [s]
     for layer in circuit.layers:
         for g in layer:
             if g.kind == RZ:
@@ -290,8 +274,7 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
         work = [apply_damping_layer(b, circuit.p) for b in work]
         work = [b for b in work if b.log_beta.real != -math.inf]
     if phase:
-        for b in work:
-            b.log_beta += complex(0.0, phase)
+        work = [b._replace(log_beta=b.log_beta + complex(0.0, phase)) for b in work]
     return work
 
 

@@ -11,12 +11,16 @@ strings, each weight-(<=k) index being supported by exactly one initial string.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import ItemsView, Mapping, MutableMapping
 from dataclasses import dataclass
 from itertools import combinations
 
 from .circuit_model import FLOAT_FMT, Circuit
 from .frame_engine import MINUS, PLUS, FrameString, initial_strings, propagate
+
+# A finite decimal number as `serialize` writes it: no `_` separators, no nan/inf.
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -282,8 +286,8 @@ class HWCoefficientTable:
 def parse_table(text: str) -> HWCoefficientTable:
     """Inverse of HWCoefficientTable.serialize; cutoff is the largest weight present.
 
-    Bit strings must consist of 0s and 1s, and each (ket, bra) index may
-    appear on one line only.
+    Bit strings must consist of 0s and 1s, values must be finite decimal
+    numbers, and each (ket, bra) index may appear on one line only.
     """
     entries: dict[tuple[int, int], complex] = {}
     n = None
@@ -302,6 +306,9 @@ def parse_table(text: str) -> HWCoefficientTable:
         if ket_s.strip("01") or bra_s.strip("01"):
             raise ValueError(f"line {lineno}: bit strings must consist of 0s and 1s, "
                              f"got {ket_s!r} {bra_s!r}")
+        if not all(_DECIMAL.fullmatch(x) and math.isfinite(float(x)) for x in (re_s, im_s)):
+            raise ValueError(f"line {lineno}: values must be finite decimal numbers, "
+                             f"got {re_s!r} {im_s!r}")
         key = (int(ket_s, 2), int(bra_s, 2))
         if key in entries:
             raise ValueError(f"line {lineno}: repeated entry {ket_s} {bra_s}")

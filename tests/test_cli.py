@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ import iqpdamp.cli as cli
 from iqpdamp.bounds import (
     hs_truncation_bound,
     select_k,
+    table_size_bound,
     td_truncation_bound,
     trace_deficit_bound,
 )
@@ -219,6 +221,24 @@ def test_negative_k_rejected(capsys):
     code = run(["simulate", "--random", "3,4,0.2", "--k", "-1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_request_refused_up_front(capsys):
+    # k = 4 at n = 1000 would enumerate 6.6e11 initial strings; the last
+    # estimate lies past the float range
+    cases = [(["simulate", "--random", "1000,100,0.3,3", "--k", "4"], "6.66e+11"),
+             (["sample", "--samples", "10", "--random", "1000,100,0.3,3", "--k", "4"],
+              "6.66e+11"),
+             (["simulate", "--random", "600,45,0.5", "--k", "600"], "8.81e+360")]
+    for argv, estimate in cases:
+        start = time.perf_counter()
+        code = run(argv)
+        assert code == 2
+        assert time.perf_counter() - start < 10
+        assert f"allows up to {estimate} table entries" in capsys.readouterr().err
+    # the full n = 8 table and the n = 1000, k = 2 demo stay within the limit
+    assert table_size_bound(8, 16) == 65536 <= cli.MAX_TABLE_ENTRIES
+    assert table_size_bound(1000, 2) <= cli.MAX_TABLE_ENTRIES
 
 
 def test_usage_errors_exit_two():

@@ -14,9 +14,34 @@ from iqpdamp.frame_engine import PLUS, initial_strings
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+def run_demo(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_simulate_and_certify_demo(capsys):
+    out = run_demo("01_simulate_and_certify.py", capsys)
+    worst = float(re.search(r"worst deviation from the dense reference: (\S+)", out).group(1))
+    assert worst < 1e-12
+
+
+def test_bounds_table_demo(capsys):
+    out = run_demo("02_bounds_table.py", capsys)
+    chosen = re.findall(r"-> k=\d+ +\(td bound (\S+) <= delta (\S+)\)", out)
+    assert len(chosen) == 4
+    for td, delta in chosen:
+        assert float(td) <= float(delta)
+
+
+def test_sampling_end_to_end_demo(capsys):
+    out = run_demo("03_sampling_end_to_end.py", capsys)
+    tvd, budget = (float(x) for x in re.search(
+        r"exact sampling TVD (\S+) against a certified budget of (\S+)", out).groups())
+    assert tvd < budget
+
+
 def test_multiqubit_branching_demo(capsys):
-    runpy.run_path(str(DEMOS / "04_multiqubit_branching.py"), run_name="__main__")
-    out = capsys.readouterr().out
+    out = run_demo("04_multiqubit_branching.py", capsys)
     assert "branch count: 5 (cap for 3-local gates: 2^2 + 1 = 5)" in out
     assert len(re.findall(r"^branch \d: ", out, re.MULTILINE)) == 5
     deviation = float(re.search(r"max deviation (\S+)", out).group(1))

@@ -97,6 +97,52 @@ def test_adjoint_is_matrix_conjugate_transpose():
         assert back.log_beta == s.log_beta
 
 
+def test_frame_string_fields_cannot_be_assigned():
+    s = make_string((PLUS, DIAG), {1: 0.5 + 0.0j})
+    for name in ("n", "kinds", "diag_args", "log_beta"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+
+def snapshot(s):
+    return s.n, s.kinds, dict(s.diag_args), s.log_beta
+
+
+def test_steps_leave_their_input_unchanged():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = random_string(rng, 3)
+        before = snapshot(s)
+        apply_single_qubit_rotation(s, int(rng.integers(3)), rng.uniform(0, 2 * math.pi))
+        llocal_branch(s, (0, 1, 2), rng.uniform(0, 2 * math.pi))
+        for p in (0.3, 1.0):
+            apply_damping_layer(s, p)
+        assert snapshot(s) == before
+
+    # branching 3- and 4-local gates, and an argument of -1 that p = 1 zeroes
+    for kinds, count in (((PLUS, DIAG, DIAG), 5), ((MINUS, DIAG, DIAG, DIAG), 9)):
+        args = {q: complex(-1.0 + 0.3 * q, 0.2) for q in range(1, len(kinds))}
+        args[1] = -1.0 + 0.0j
+        s = make_string(kinds, args, beta=0.5)
+        before = snapshot(s)
+        assert len(llocal_branch(s, tuple(range(len(kinds))), 1.3)) == count
+        assert apply_damping_layer(s, 1.0).beta == 0.0
+        assert snapshot(s) == before
+
+
+def test_propagate_leaves_its_input_unchanged():
+    # initial strings of one position set share their argument dict
+    for locality, seed in ((3, 12), (4, 14)):
+        circuit = random_circuit(5, 4, 0.35, locality=locality, seed=seed)
+        strings = list(initial_strings(5, 3))
+        before = [snapshot(s) for s in strings]
+        branched = 0
+        for s in strings:
+            branched += len(propagate(s, circuit)) > 1
+        assert branched
+        assert [snapshot(s) for s in strings] == before
+
+
 def test_rotation_leaves_diagonal_slots_alone():
     s = make_string((DIAG, PLUS), {0: 0.3 + 0.1j})
     out = apply_single_qubit_rotation(s, 0, 1.234)

@@ -212,6 +212,10 @@ def test_parse_table_accepts_comments_and_rejects_garbage():
         parse_table("00 00 1 0\n010 000 1 0\n")
     with pytest.raises(ValueError, match="empty"):
         parse_table("# nothing\n")
+    # float() accepts these, but serialize never writes them
+    for values in ("1_0 0", "0 nan", "inf 0", "0 -Infinity", "1e400 0"):
+        with pytest.raises(ValueError, match="line 2: values must be finite decimal numbers"):
+            parse_table(f"00 00 1 0\n01 00 {values}\n")
 
 
 @pytest.mark.parametrize("text", ["0b1 000 1 0\n", "+01 1_0 1 0\n", "0\u0661 00 1 0\n",
