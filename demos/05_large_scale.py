@@ -3,9 +3,9 @@
 The dedicated two-local low-weight path evaluates every coefficient of
 weight at most 2 in closed form and vectorizes all trajectory sums, so the
 two-million-entry table for a thousand-qubit circuit takes seconds, both as
-columnar lists and as the keyed table the sampler reads (whose bitmask keys
-are stored as bytes, so they hash apart past 61 qubits). The general branch
-engine is exact at any locality but would need hours here.
+bare position columns and as the table the sampler reads, which holds the same
+columns behind a read-only int-keyed view. The general branch engine is exact
+at any locality but would need hours here.
 """
 
 import time
@@ -28,9 +28,9 @@ print(f"trace-distance bound {budget.td_bound:.2e} <= delta {budget.delta:.4f}")
 start = time.time()
 kets, bras, values = g2_low_weight_coefficients(circuit, 2)
 elapsed = time.time() - start
-print(f"\n{len(values)} coefficients of weight <= 2 in {elapsed:.1f} s (columnar lists)")
+print(f"\n{len(values)} coefficients of weight <= 2 in {elapsed:.1f} s (position columns)")
 
-corner = next(v for ket, bra, v in zip(kets, bras, values) if ket == 0 and bra == 0)
+corner = values[0]  # the weight-0 entry comes first
 print(f"weight-0 coefficient (kept trace at k=0): {corner.real:.6f}")
 print(f"largest off-diagonal magnitude: {max(abs(v) for v in values[1:]):.3g}")
 del kets, bras, values
@@ -40,6 +40,6 @@ table = build_table_auto(circuit, 2)
 built = time.time() - start
 qd = fourier_table(table)
 collapsed = time.time() - start - built
-print(f"\nkeyed table of {len(table)} entries in {built:.1f} s, "
+print(f"\ntable of {len(table)} entries in {built:.1f} s, "
       f"Fourier support of {len(qd.coeffs)} parities in {collapsed:.1f} s more")
 print(f"total mass (trace of the truncated state): {qd.total_mass:.6f}")

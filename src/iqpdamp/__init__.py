@@ -49,7 +49,6 @@ from .frame_engine import (
 from .hw_basis import (
     HWCoefficientTable,
     HWIndex,
-    MaskMap,
     build_table,
     count_weight_h_with_r_zeroblocks,
     parse_table,
@@ -69,7 +68,6 @@ __all__ = [
     "Gate",
     "HWCoefficientTable",
     "HWIndex",
-    "MaskMap",
     "MINUS",
     "NumericalError",
     "PLUS",

@@ -128,7 +128,7 @@ def cmd_simulate(args, parser) -> int:
     table = build_table_auto(circuit, k)
     with _output(args.out) as out:
         if args.format is None:
-            out.write(table.serialize())
+            out.writelines(table.serialize())
         else:
             n = table.n
             _write_records(out, args.format, ("ket", "bra", "re", "im"),

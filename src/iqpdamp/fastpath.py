@@ -27,6 +27,7 @@ two-local propagation:
     (theta_rz).
   * Flipping every sigma sign conjugates everything, so only the (+,+) and
     (+,-) sign patterns are computed; the rest are mirrored.
+The coefficient blocks become the table's position columns in numpy alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import defaultdict
 import numpy as np
 
 from .circuit_model import CPHASE, RZ, Circuit
-from .hw_basis import HWCoefficientTable, MaskMap, build_table
+from .hw_basis import POSITION, HWCoefficientTable, build_table, row_width
 
 
 def fast_applicable(circuit: Circuit, cutoff: int) -> bool:
@@ -173,64 +174,43 @@ def _g2_components(circuit: Circuit, cutoff: int):
     return a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm
 
 
-def g2_low_weight_coefficients(circuit: Circuit, cutoff: int, mask_key=None):
+def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
     """Columnar (kets, bras, values) form of the table, cheap to build at n ~ 10^3.
 
-    Lists every nonzero entry once (both Hermitian mirrors included), in no
-    particular order. Values are a complex ndarray aligned with the two
-    bitmask lists. With `mask_key`, each distinct bitmask is passed through it
-    once and the lists hold its results, shared between an entry and its
-    mirror; the keyed table uses this to build its byte keys directly.
+    Lists every nonzero entry once, each off-diagonal one followed by its
+    Hermitian mirror: the weight-0 entry, the weight-2 diagonal, then the
+    weight-1 entries per qubit and the weight-2 entries per qubit pair, in
+    ascending order. kets and bras are rows of ascending qubit positions padded
+    with n (`hw_basis.row_width` wide); values is a complex array aligned with them.
     """
     a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = _g2_components(circuit, cutoff)
     n = circuit.n
-    key = mask_key or (lambda mask: mask)
-    bit_int = [1 << (n - 1 - q) for q in range(n)]
-    zero, bit = key(0), [key(b) for b in bit_int]
-    kets: list = [zero]
-    bras: list = [zero]
-    vals: list[complex] = [a00]
-    if diag_val:
-        kets.extend(bit)
-        bras.extend(bit)
-        vals.extend([diag_val] * n)
+    width = row_width(n, cutoff)
+
+    def rows(count, *columns):
+        out = np.full((count, width), n, dtype=POSITION)
+        for j, column in enumerate(columns):
+            out[:, j] = column
+        return out
+
+    def interleaved(*candidates):
+        # each item's candidate (kets, bras, values) entries in turn, zero values dropped
+        kets, bras, values = (np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
+                              for parts in zip(*candidates))
+        keep = values != 0
+        return kets[keep], bras[keep], values[keep]
+
+    one, none = rows(n, np.arange(n)), rows(n)
+    blocks = [(rows(1), rows(1), np.array([a00], dtype=complex)),
+              interleaved((one, one, np.full(n, diag_val, dtype=complex)))]
     if alpha_plus is not None:
-        ap = alpha_plus.tolist()
-        for q in range(n):
-            v = ap[q]
-            if v != 0:
-                kets.append(bit[q])
-                bras.append(zero)
-                vals.append(v)
-                kets.append(zero)
-                bras.append(bit[q])
-                vals.append(v.conjugate())
-    if alpha_pp is not None:
-        i1l = i1.tolist()
-        i2l = i2.tolist()
-        pp_list = alpha_pp.tolist()
-        pm_list = alpha_pm.tolist()
-        for idx in range(len(i1l)):
-            q1, q2 = i1l[idx], i2l[idx]
-            v = pp_list[idx]
-            if v != 0:
-                both = key(bit_int[q1] | bit_int[q2])
-                kets.append(both)
-                bras.append(zero)
-                vals.append(v)
-                kets.append(zero)
-                bras.append(both)
-                vals.append(v.conjugate())
-            v = pm_list[idx]
-            if v != 0:
-                b1, b2 = bit[q1], bit[q2]
-                kets.append(b1)
-                bras.append(b2)
-                vals.append(v)
-                kets.append(b2)
-                bras.append(b1)
-                vals.append(v.conjugate())
-    return kets, bras, np.asarray(vals, dtype=complex)
+        blocks.append(interleaved((one, none, alpha_plus), (none, one, alpha_plus.conj())))
+    if alpha_pp is not None and len(i1):  # n = 1 has no pairs, and rows one position wide
+        both, none = rows(len(i1), i1, i2), rows(len(i1))
+        first, second = rows(len(i1), i1), rows(len(i1), i2)
+        blocks.append(interleaved((both, none, alpha_pp), (none, both, alpha_pp.conj()),
+                                  (first, second, alpha_pm), (second, first, alpha_pm.conj())))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def g2_low_weight_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
@@ -239,7 +219,4 @@ def g2_low_weight_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     Exactly equivalent to build_table(circuit, cutoff) for circuits whose gates
     are all 1- or 2-local; validated against it in the test suite.
     """
-    table = HWCoefficientTable(circuit.n, cutoff)
-    kets, bras, vals = g2_low_weight_coefficients(circuit, cutoff, table.data.encode_mask)
-    table.data = MaskMap.from_encoded(circuit.n, True, dict(zip(zip(kets, bras), vals.tolist())))
-    return table
+    return HWCoefficientTable(circuit.n, cutoff, g2_low_weight_coefficients(circuit, cutoff))

@@ -6,18 +6,25 @@ qubit positions where both bits are 0. A state propagated through a noisy IQP
 circuit is approximated by keeping every coefficient alpha_(a,b) = <a|rho|b> of
 weight at most a cutoff k; those coefficients are read off propagated frame
 strings, each weight-(<=k) index being supported by exactly one initial string.
+
+A table is three aligned columns in entry order: ket and bra qubit positions
+(ascending, padded with the sentinel n to min(k, n)) and complex values, so no
+int mask is ever hashed. Callers read it through `MaskView`, a read-only
+mapping keyed by (ket, bra) pairs of int masks.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import ItemsView, Mapping, MutableMapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .circuit_model import FLOAT_FMT, Circuit
-from .frame_engine import MINUS, PLUS, FrameString, initial_strings, propagate
+from .frame_engine import DIAG, MINUS, PLUS, initial_strings, propagate
 
 # A finite decimal number as `serialize` writes it: no `_` separators, no nan/inf.
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
@@ -65,218 +72,218 @@ def count_weight_h_with_r_zeroblocks(h: int, r: int, n: int) -> int:
     return math.comb(n, r) * math.comb(n - r, w) * (2 ** u)
 
 
-_BAD_KEY = (TypeError, ValueError, OverflowError, AttributeError)
+POSITION = np.int32  # dtype of the qubit-position columns
+_CHUNK = 1 << 12  # entries turned into Python keys and values at a time
 
 
-def _mask_width(n: int) -> int:
-    return max(1, (n + 7) // 8)
+def row_width(n: int, cutoff: int) -> int:
+    """Positions per row of a cutoff-k table on n qubits: no mask of it has more than min(k, n) bits."""
+    return max(1, min(cutoff, n))
 
 
-class MaskMap(MutableMapping):
-    """Insertion-ordered map keyed by n-bit masks, or by (ket, bra) pairs of them.
+def _mask_positions(mask, n: int) -> list[int]:
+    """Ascending qubit positions set in an n-bit mask; ValueError unless it is an int in [0, 2^n)."""
+    if not isinstance(mask, int) or mask < 0 or mask >> n:
+        raise ValueError(f"masks must lie in [0, 2^{n}), got {mask!r}")
+    positions = []
+    while mask:
+        top = mask.bit_length() - 1
+        positions.append(n - 1 - top)
+        mask ^= 1 << top
+    return positions
 
-    Python hashes an int as its value mod 2^61 - 1, so past 61 qubits masks
-    whose bits sit 61 places apart collide: at n = 600 the 179,700 two-bit
-    masks share 1,891 hashes and a dict keyed by them degrades to long probe
-    chains. Each mask is therefore stored as mask.to_bytes(width, "little")
-    with width = ceil(n / 8), and a (ket, bra) key as a 2-tuple of those;
-    bytes hash with SipHash. Reads, iteration, `items()`, `len`, `==` and
-    `dict(...)` see int or (ket, bra) keys in insertion order.
 
-    `raw` is the stored dict. Builders that already hold encoded keys wrap it
-    with `from_encoded` and skip the re-encoding.
+def _padded_rows(positions: list, n: int, width: int) -> np.ndarray:
+    """(len, width) array of position lists, each padded with the sentinel n."""
+    return np.array([[*row, *[n] * (width - len(row))] for row in positions],
+                    dtype=POSITION).reshape(-1, width)
+
+
+def _masks(rows: np.ndarray, n: int) -> list[int]:
+    """The int mask of every position row."""
+    bit = [1 << (n - 1 - q) for q in range(n)] + [0]  # the sentinel n sets no bit
+    masks = [0] * len(rows)
+    for column in rows.T.tolist():
+        masks = [m | b for m, b in zip(masks, map(bit.__getitem__, column))]
+    return masks
+
+
+def void_rows(rows: np.ndarray) -> np.ndarray:
+    """One opaque fixed-size key per row, to sort, group and search rows as wholes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+class MaskView(Mapping):
+    """Read-only mapping over the position columns of a table or a Fourier support.
+
+    Entry i is `kets[i]` and, in a table, `bras[i]`: the ascending qubit
+    positions of its masks, padded with the sentinel n. `vals[i]` is its value.
+    Reads see int masks (a support) or (ket, bra) pairs of them (a table), with
+    Python complex or float values, in entry order; iteration converts a chunk
+    of entries at a time. A lookup binary-searches the rows, sorted on first use.
     """
 
-    def __init__(self, n: int, pairs: bool, entries=()):
-        self.width = _mask_width(n)
-        self.pairs = pairs
-        self.raw: dict = {}
-        self._decoded: list | None = None
-        self.update(entries)
+    def __init__(self, n: int, kets: np.ndarray, bras: np.ndarray | None, vals: np.ndarray):
+        self.n, self.kets, self.bras, self.vals = n, kets, bras, vals
+        for column in (kets, vals) if bras is None else (kets, bras, vals):
+            column.flags.writeable = False  # the lookup index and decoded pairs stay valid
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_encoded(cls, n: int, pairs: bool, raw: dict) -> "MaskMap":
-        """Wrap a dict whose keys are already encoded for this n, without copying."""
-        out = cls(n, pairs)
-        out.raw = raw
-        return out
+    def from_mapping(cls, n: int, entries: Mapping, cutoff: int | None = None) -> "MaskView":
+        """Columns of outside keys: masks, or with a `cutoff` (ket, bra) pairs of weight <= cutoff.
 
-    @classmethod
-    def of(cls, n: int, pairs: bool, entries) -> "MaskMap":
-        """`entries` itself when it is a MaskMap of this shape, else a re-keyed copy."""
-        if (isinstance(entries, MaskMap) and entries.pairs == pairs
-                and entries.width == _mask_width(n)):
-            return entries
-        return cls(n, pairs, entries)
-
-    def encode_mask(self, mask: int) -> bytes:
-        return mask.to_bytes(self.width, "little")
-
-    def encode(self, key):
-        if self.pairs:
-            ket, bra = key
-            return self.encode_mask(ket), self.encode_mask(bra)
-        return self.encode_mask(key)
-
-    def decode(self, raw):
-        if self.pairs:
-            return int.from_bytes(raw[0], "little"), int.from_bytes(raw[1], "little")
-        return int.from_bytes(raw, "little")
-
-    def add_pair(self, ket: int, bra: int, value, mirror: bool = False) -> None:
-        """Add `value` at (ket, bra), and with `mirror` its conjugate at (bra, ket).
-
-        Each mask is encoded once and the encoding shared by both entries.
+        Raises ValueError for a mask outside [0, 2^n) or an entry above the cutoff.
         """
-        width, raw = self.width, self.raw
-        ket_b, bra_b = ket.to_bytes(width, "little"), bra.to_bytes(width, "little")
-        key = (ket_b, bra_b)
-        raw[key] = raw.get(key, 0.0) + value
-        if mirror:
-            key = (bra_b, ket_b)
-            raw[key] = raw.get(key, 0.0) + value.conjugate()
-        self._decoded = None
+        keys, values = list(entries), list(entries.values())
+        if cutoff is None:
+            kets = [_mask_positions(mask, n) for mask in keys]
+            width = max([1, *map(len, kets)])
+            return cls(n, _padded_rows(kets, n, width), None, np.array(values, dtype=float))
+        kets = [_mask_positions(ket, n) for ket, _ in keys]
+        bras = [_mask_positions(bra, n) for _, bra in keys]
+        for key, ket, bra in zip(keys, kets, bras):
+            if len(ket) + len(bra) > cutoff:
+                raise ValueError(f"entry {key} has weight above the cutoff {cutoff}")
+        width = row_width(n, cutoff)
+        return cls(n, _padded_rows(kets, n, width), _padded_rows(bras, n, width),
+                   np.array(values, dtype=complex))
 
-    def int_items(self) -> list:
-        """Decoded (key, value) pairs in insertion order, built once and kept until the map changes."""
-        if self._decoded is None:
-            self._decoded = list(self.items())
-        return self._decoded
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Entry index of each key row (ket positions, then bra positions in a table); -1 if absent."""
+        if self._index is None:
+            own = void_rows(self.kets if self.bras is None else np.hstack((self.kets, self.bras)))
+            order = np.argsort(own)
+            self._index = own[order], order
+        keys, order = self._index
+        if not len(order):
+            return np.full(len(rows), -1)
+        wanted = void_rows(rows)
+        at = np.searchsorted(keys, wanted).clip(max=len(order) - 1)
+        return np.where(keys[at] == wanted, order[at], -1)
 
     def __getitem__(self, key):
+        masks = (key,) if self.bras is None else key
+        width = self.kets.shape[1]
         try:
-            return self.raw[self.encode(key)]
-        except (KeyError, *_BAD_KEY):
+            if not (isinstance(masks, tuple) and len(masks) == (1 if self.bras is None else 2)):
+                raise ValueError(key)
+            positions = [_mask_positions(mask, self.n) for mask in masks]
+        except ValueError:
             raise KeyError(key) from None
-
-    def __setitem__(self, key, value) -> None:
-        self.raw[self.encode(key)] = value
-        self._decoded = None
-
-    def __delitem__(self, key) -> None:
-        try:
-            del self.raw[self.encode(key)]
-        except (KeyError, *_BAD_KEY):
-            raise KeyError(key) from None
-        self._decoded = None
-
-    def __iter__(self):
-        return map(self.decode, self.raw)
+        found = -1
+        if max(map(len, positions)) <= width:
+            found = int(self.locate(_padded_rows(positions, self.n, width).reshape(1, -1))[0])
+        if found < 0:
+            raise KeyError(key)
+        return self.vals[found].item()
 
     def __len__(self) -> int:
-        return len(self.raw)
+        return len(self.vals)
+
+    def iter_items(self, order: np.ndarray | None = None):
+        """(key, value) pairs in entry order, or in the order of the entry indices `order`."""
+        for lo in range(0, len(self), _CHUNK):
+            pick = slice(lo, lo + _CHUNK) if order is None else order[lo:lo + _CHUNK]
+            keys = _masks(self.kets[pick], self.n)
+            if self.bras is not None:
+                keys = zip(keys, _masks(self.bras[pick], self.n))
+            yield from zip(keys, self.vals[pick].tolist())
+
+    def __iter__(self):
+        return (key for key, _ in self.iter_items())
 
     def items(self):
-        return _DecodedItems(self)
+        return _Items(self)
 
     def values(self):
-        return self.raw.values()
+        return _Values(self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, MaskMap) and (other.width, other.pairs) == (self.width, self.pairs):
-            return self.raw == other.raw
         if not isinstance(other, Mapping):
             return NotImplemented
-        try:
-            rekeyed = {self.encode(k): v for k, v in other.items()}
-        except _BAD_KEY:
-            return False
-        return len(rekeyed) == len(other) and rekeyed == self.raw
+        missing = object()
+        return len(self) == len(other) and all(other.get(key, missing) == v
+                                               for key, v in self.iter_items())
 
     def __repr__(self) -> str:
-        return f"MaskMap({{{', '.join(f'{k!r}: {v!r}' for k, v in self.items())}}})"
+        return f"MaskView({dict(self.items())!r})"
 
 
-class _DecodedItems(ItemsView):
+class _Items(ItemsView):
     def __iter__(self):
-        decode = self._mapping.decode
-        for key, value in self._mapping.raw.items():
-            yield decode(key), value
+        return self._mapping.iter_items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        vals = self._mapping.vals
+        for lo in range(0, len(vals), _CHUNK):
+            yield from vals[lo:lo + _CHUNK].tolist()
 
 
 class HWCoefficientTable:
-    """Sparse map from (ket, bra) bitmask pairs to complex coefficients, weight <= cutoff."""
+    """Coefficients of the ket-bra indices of weight <= cutoff, stored as position columns.
 
-    def __init__(self, n: int, cutoff: int):
+    `data` is a read-only MaskView keyed by (ket, bra) bitmask pairs. Builders
+    pass their (kets, bras, values) columns to the constructor; assigning a
+    mapping to `data` is the entry point for outside keys, which it checks.
+    """
+
+    def __init__(self, n: int, cutoff: int, columns: tuple | None = None):
         if not (0 <= cutoff <= 2 * n):
             raise ValueError(f"cutoff must be in [0, {2*n}], got {cutoff}")
         self.n = n
         self.cutoff = cutoff
-        self._data = MaskMap(n, pairs=True)
+        self._data = MaskView(n, *columns) if columns else MaskView.from_mapping(n, {}, cutoff)
 
     @property
-    def data(self) -> MaskMap:
-        """(ket, bra) -> coefficient; a plain mapping assigned here is re-keyed into a MaskMap."""
+    def data(self) -> MaskView:
+        """(ket, bra) -> coefficient in entry order."""
         return self._data
 
     @data.setter
-    def data(self, entries) -> None:
-        self._data = MaskMap.of(self.n, True, entries)
+    def data(self, entries: Mapping) -> None:
+        self._data = MaskView.from_mapping(self.n, entries, self.cutoff)
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def add(self, ket: int, bra: int, value: complex) -> None:
-        if (ket | bra) >> self.n:  # nonzero for a negative mask or one >= 2^n
-            raise ValueError(f"masks must lie in [0, 2^{self.n}), got ket={ket}, bra={bra}")
-        if ket.bit_count() + bra.bit_count() > self.cutoff:
-            raise ValueError("entry weight exceeds cutoff")
-        self._data.add_pair(ket, bra, value)
 
     def get(self, ket: int, bra: int) -> complex:
         return self._data.get((ket, bra), 0.0)
 
     def hermiticity_defect(self) -> float:
-        raw = self._data.raw
-        worst = 0.0
-        for (ket, bra), v in raw.items():
-            worst = max(worst, abs(v - raw.get((bra, ket), 0.0).conjugate()))
-        return worst
-
-    def sorted_items(self) -> list[tuple[tuple[int, int], complex]]:
-        return sorted(self._data.items(),
-                      key=lambda kv: (kv[0][0].bit_count() + kv[0][1].bit_count(), kv[0][0], kv[0][1]))
-
-    def parity_sums(self) -> dict[bytes, complex]:
-        """Sum of the values per parity ket XOR bra, keyed by the parity's mask encoding.
-
-        Parities appear in order of first occurrence and each sum is taken in
-        insertion order.
-        """
         data = self._data
-        width = data.width
-        zero = data.encode_mask(0)
-        from_bytes = int.from_bytes
-        acc: dict[bytes, complex] = {}
-        get = acc.get
-        for (ket, bra), v in data.raw.items():
-            if bra == zero:
-                s = ket
-            elif ket == zero:
-                s = bra
-            elif ket == bra:
-                s = zero
-            else:
-                s = (from_bytes(ket, "little") ^ from_bytes(bra, "little")).to_bytes(width, "little")
-            acc[s] = get(s, 0.0) + v
-        return acc
+        mirror = data.locate(np.hstack((data.bras, data.kets)))
+        partner = np.where(mirror >= 0, data.vals[mirror], 0.0)
+        return float(np.abs(data.vals - partner.conj()).max(initial=0.0))
 
-    def serialize(self) -> str:
-        """One `<ket-bits> <bra-bits> <re> <im>` line per entry, sorted by (weight, ket, bra)."""
+    def sorted_items(self):
+        """((ket, bra), value) pairs in (weight, ket, bra) order, one at a time."""
+        data = self._data
+        # n - q is 0 for the sentinel and falls as the position q rises, so the
+        # lexicographic order of these rows is the int order of the masks
+        keys = self.n - np.vstack((data.bras.T[::-1], data.kets.T[::-1]))
+        order = np.lexsort((*keys, np.count_nonzero(keys, axis=0)))  # last key, weight, first
+        return data.iter_items(order)
+
+    def serialize(self):
+        """The table document, one `<ket-bits> <bra-bits> <re> <im>` line at a time.
+
+        Lines come in (weight, ket, bra) order; "".join of them is the whole text.
+        """
         width = self.n
-        lines = []
         for (ket, bra), v in self.sorted_items():
-            lines.append(f"{ket:0{width}b} {bra:0{width}b} "
-                         f"{format(v.real, FLOAT_FMT)} {format(v.imag, FLOAT_FMT)}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            yield (f"{ket:0{width}b} {bra:0{width}b} "
+                   f"{format(v.real, FLOAT_FMT)} {format(v.imag, FLOAT_FMT)}\n")
 
     def trace(self) -> complex:
-        return sum(v for (ket, bra), v in self._data.raw.items() if ket == bra)
+        data = self._data
+        return sum(data.vals[(data.kets == data.bras).all(axis=1)].tolist())
 
     def to_dense(self):
         """Dense matrix realization for small-n cross-checks."""
-        import numpy as np
-
         out = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
         for (ket, bra), v in self._data.items():
             out[ket, bra] += v
@@ -289,7 +296,7 @@ def parse_table(text: str) -> HWCoefficientTable:
     Bit strings must consist of 0s and 1s, values must be finite decimal
     numbers, and each (ket, bra) index may appear on one line only.
     """
-    entries: dict[tuple[int, int], complex] = {}
+    kets, bras, vals, origins = [], [], [], []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -309,32 +316,21 @@ def parse_table(text: str) -> HWCoefficientTable:
         if not all(_DECIMAL.fullmatch(x) and math.isfinite(float(x)) for x in (re_s, im_s)):
             raise ValueError(f"line {lineno}: values must be finite decimal numbers, "
                              f"got {re_s!r} {im_s!r}")
-        key = (int(ket_s, 2), int(bra_s, 2))
-        if key in entries:
-            raise ValueError(f"line {lineno}: repeated entry {ket_s} {bra_s}")
-        entries[key] = complex(float(re_s), float(im_s))
+        kets.append([q for q, bit in enumerate(ket_s) if bit == "1"])
+        bras.append([q for q, bit in enumerate(bra_s) if bit == "1"])
+        vals.append(complex(float(re_s), float(im_s)))
+        origins.append((lineno, ket_s, bra_s))
     if n is None:
         raise ValueError("empty table document")
-    cutoff = max((k.bit_count() + b.bit_count() for k, b in entries), default=0)
-    table = HWCoefficientTable(n, cutoff)
-    for (ket, bra), v in entries.items():
-        table.add(ket, bra, v)
-    return table
-
-
-def _string_masks(s: FrameString) -> tuple[int, int, list[int]]:
-    """(ket bits from Plus slots, bra bits from Minus slots, diagonal positions)."""
-    ket = bra = 0
-    diag: list[int] = []
-    for q, kind in enumerate(s.kinds):
-        bit = 1 << (s.n - 1 - q)
-        if kind == PLUS:
-            ket |= bit
-        elif kind == MINUS:
-            bra |= bit
-        else:
-            diag.append(q)
-    return ket, bra, diag
+    cutoff = max((len(ket) + len(bra) for ket, bra in zip(kets, bras)), default=0)
+    width = row_width(n, cutoff)
+    kets, bras = _padded_rows(kets, n, width), _padded_rows(bras, n, width)
+    _, first, group = np.unique(void_rows(np.hstack((kets, bras))),
+                                return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[group] != np.arange(len(vals)))
+    if len(repeats):
+        raise ValueError("line {}: repeated entry {} {}".format(*origins[repeats[0]]))
+    return HWCoefficientTable(n, cutoff, (kets, bras, np.array(vals, dtype=complex)))
 
 
 def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoefficientTable:
@@ -345,17 +341,15 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
     (1,1) positions, of the final argument a_t; all other indices get 0 from
     it. Every branch of a string hits the same indices and each index of
     weight <= cutoff comes from exactly one initial string, so each entry is
-    the sum over that string's branches, in branch order, added once.
+    the sum over that string's branches, in branch order, appended once.
 
     With mirror=True only one string of each Hermitian-conjugate pair is
-    propagated; the partner's contributions are the mirrored conjugates, which
-    makes the table exactly Hermitian.
+    propagated; the partner's entries are the mirrored conjugates, appended
+    right after, which makes the table exactly Hermitian.
     """
     n = circuit.n
-    table = HWCoefficientTable(n, cutoff)
-    data = table.data
-    max_off = min(cutoff, n)
-    for s in initial_strings(n, max_off):
+    kets, bras, vals = [], [], []  # position lists and values, in entry order
+    for s in initial_strings(n, min(cutoff, n)):
         slots = s.offdiag_slots()
         if mirror and slots and slots[0][1] == MINUS:
             continue  # covered by its adjoint's mirror
@@ -364,18 +358,27 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
         live = [(beta, args) for beta, args in live if beta != 0]
         if not live:
             continue
-        ket0, bra0, diag = _string_masks(s)
-        # weights stay <= cutoff by construction, so table.add's check is skipped
+        plus = [q for q, kind in slots if kind == PLUS]
+        minus = [q for q, kind in slots if kind == MINUS]
+        diag = [q for q, kind in enumerate(s.kinds) if kind == DIAG]
+        # weights stay <= cutoff by construction
         for j in range((cutoff - len(slots)) // 2 + 1):
             for subset in combinations(diag, j):
-                bits = 0
-                for q in subset:
-                    bits |= 1 << (n - 1 - q)
                 total = 0.0
                 for beta, args in live:
                     value = beta
                     for q in subset:
                         value *= args[q]
                     total += value
-                data.add_pair(ket0 | bits, bra0 | bits, total, mirrored)
-    return table
+                ket, bra = sorted(plus + list(subset)), sorted(minus + list(subset))
+                kets.append(ket)
+                bras.append(bra)
+                vals.append(total)
+                if mirrored:
+                    kets.append(bra)
+                    bras.append(ket)
+                    # 0.0 + turns the -0.0j conjugate of a real total into +0.0j
+                    vals.append(0.0 + total.conjugate())
+    width = row_width(n, cutoff)
+    return HWCoefficientTable(n, cutoff, (_padded_rows(kets, n, width), _padded_rows(bras, n, width),
+                                          np.array(vals, dtype=complex)))

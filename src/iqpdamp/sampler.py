@@ -2,18 +2,22 @@
 
 The Hadamard-basis diagonal of the truncated state is a quasiprobability
 q(x) = sum_s q~(s) (-1)^(x.s) whose Fourier support is the set of parities
-ket XOR bra over stored coefficients. Prefix marginals are exact sparse sums,
-and samples are drawn one bit at a time: a negative child marginal forces the
-other branch, otherwise the bit extends with probability S_y0 / S_y. Outcome
-bit 0 encodes the |+> result, 1 encodes |->.
+ket XOR bra over stored coefficients, kept like a table as parity positions
+(symmetric differences of ket and bra positions) beside real values. Prefix
+marginals are exact sparse sums, and samples are drawn one bit at a time: a
+negative child marginal forces the other branch, otherwise the bit extends
+with probability S_y0 / S_y. Outcome bit 0 encodes the |+> result, 1 encodes |->.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NumericalError
-from .hw_basis import HWCoefficientTable, MaskMap
+from .hw_basis import HWCoefficientTable, MaskView, void_rows
 
 INDUCED_N_CAP = 12
 
@@ -23,21 +27,22 @@ class QuasiDistribution:
 
     coeffs[s] = sum of alpha over table entries with ket XOR bra = s, which is
     2^n * q~(s); the scaling keeps every quantity O(1) at any n. The total mass
-    sum_x q(x) equals coeffs[0]. A plain mapping given as `coeffs` is re-keyed
-    into a MaskMap.
+    sum_x q(x) equals coeffs[0]. `coeffs` is a read-only MaskView over position
+    columns; a plain mapping of int masks given here is checked and converted.
     """
 
-    def __init__(self, n: int, coeffs=()):
+    def __init__(self, n: int, coeffs: Mapping):
         self.n = n
-        self.coeffs = coeffs
+        self._coeffs = coeffs if isinstance(coeffs, MaskView) else MaskView.from_mapping(n, coeffs)
 
     @property
-    def coeffs(self) -> MaskMap:
+    def coeffs(self) -> MaskView:
         return self._coeffs
 
-    @coeffs.setter
-    def coeffs(self, entries) -> None:
-        self._coeffs = MaskMap.of(self.n, False, entries)
+    @cached_property
+    def _pairs(self) -> list[tuple[int, float]]:
+        """(mask, coefficient) pairs in entry order, decoded once for `marginal`."""
+        return list(self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiDistribution):
@@ -58,19 +63,30 @@ class QuasiDistribution:
 def fourier_table(table: HWCoefficientTable, tol: float = 1e-12) -> QuasiDistribution:
     """Collapse a Hermitian coefficient table onto its Fourier support.
 
-    Each entry (a, b) lands on frequency a XOR b; Hermitian partners make every
-    accumulated coefficient real. Residual imaginary parts above `tol`
-    (relative to the largest coefficient) raise NumericalError.
+    Each entry (a, b) lands on frequency a XOR b, whose positions are the
+    symmetric difference of the entry's ket and bra positions. Frequencies
+    keep the order of their first entry and each sum runs in entry order.
+    Hermitian partners make every accumulated coefficient real. Residual
+    imaginary parts above `tol` (relative to the largest coefficient) raise
+    NumericalError.
     """
-    acc = table.parity_sums()
-    scale = max((abs(v) for v in acc.values()), default=0.0)
-    worst = max((abs(v.imag) for v in acc.values()), default=0.0)
+    n, data = table.n, table.data
+    both = np.sort(np.hstack((data.kets, data.bras)), axis=1)
+    twice = both[:, 1:] == both[:, :-1]  # a position in ket and bra cancels; n stays n
+    both[:, 1:][twice] = both[:, :-1][twice] = n
+    parity = np.sort(both, axis=1)[:, :data.kets.shape[1]]
+    _, first, group = np.unique(void_rows(parity), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[group]  # renumbered by first occurrence
+    real = np.bincount(group, weights=data.vals.real, minlength=len(order))
+    imag = np.bincount(group, weights=data.vals.imag, minlength=len(order))
+    scale = np.hypot(real, imag).max(initial=0.0)
+    worst = np.abs(imag).max(initial=0.0)
     if worst > tol * max(1.0, scale):
         raise NumericalError(
             f"Fourier coefficients are not real: residual imaginary part {worst:.3g} "
             f"(Hermiticity violation in the coefficient table)")
-    coeffs = MaskMap.from_encoded(table.n, False, {s: v.real for s, v in acc.items()})
-    return QuasiDistribution(table.n, coeffs)
+    return QuasiDistribution(n, MaskView(n, parity[first[order]], None, real))
 
 
 def marginal(qd: QuasiDistribution, prefix: str) -> float:
@@ -90,7 +106,7 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     suffix_mask = (1 << shift) - 1
     y_bits = y << shift
     total = 0.0
-    for s, c in qd.coeffs.int_items():
+    for s, c in qd._pairs:
         if s & suffix_mask:
             continue
         total += -c if (y_bits & s).bit_count() & 1 else c

@@ -52,8 +52,13 @@ def test_columnar_and_table_forms_agree():
     kets, bras, values = g2_low_weight_coefficients(c, 2)
     t = g2_low_weight_table(c, 2)
     assert len(kets) == len(bras) == len(values) == len(t)
-    for ket, bra, v in zip(kets, bras, values):
-        assert t.get(ket, bra) == v
+
+    def mask(row):  # qubit positions padded with n -> bitmask, qubit 0 on top
+        return sum(1 << (c.n - 1 - q) for q in row if q < c.n)
+
+    for ket, bra, v in zip(kets.tolist(), bras.tolist(), values):
+        assert ket == sorted(ket) and bra == sorted(bra)
+        assert t.get(mask(ket), mask(bra)) == v
 
 
 def test_hermitian_and_sized_like_general_table():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from iqpdamp import hw_basis
 from iqpdamp.bounds import coefficient_bound, table_size_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import evolve_dense
+from iqpdamp.fastpath import build_table_auto
 from iqpdamp.frame_engine import propagate
 from iqpdamp.hw_basis import (
     HWCoefficientTable,
@@ -16,6 +18,7 @@ from iqpdamp.hw_basis import (
     parse_table,
     zero_block_range,
 )
+from iqpdamp.sampler import QuasiDistribution
 
 
 def all_indices(n):
@@ -77,23 +80,48 @@ def test_count_matches_enumeration():
             assert count_weight_h_with_r_zeroblocks(h, r, n) == count
 
 
-def test_table_add_get_and_cutoff():
+def test_table_setter_get_and_cutoff():
     t = HWCoefficientTable(3, 2)
-    t.add(0b100, 0b000, 0.5 + 0.25j)
-    t.add(0b100, 0b000, 0.5j)
+    t.data = {(0b100, 0b000): 0.5 + 0.75j}
     assert t.get(0b100, 0b000) == 0.5 + 0.75j
     assert t.get(0b000, 0b100) == 0.0
     assert len(t) == 1
-    with pytest.raises(ValueError):
-        t.add(0b110, 0b100, 1.0)  # weight 3 > cutoff 2
+    with pytest.raises(ValueError, match="above the cutoff 2"):
+        t.data = {(0b110, 0b100): 1.0}  # weight 3 > cutoff 2
     for ket, bra in ((0b1000, 0), (0, 0b1000), (-1, 0), (0, -4), (1 << 8, 1)):
         with pytest.raises(ValueError, match="masks must lie in"):
-            t.add(ket, bra, 0.5)
+            t.data = {(ket, bra): 0.5}
     assert len(t) == 1
-    t.add(0b011, 0, 0.5)
-    assert parse_table(t.serialize()).data == t.data
+    t.data = {**t.data, (0b011, 0): 0.5}
+    assert parse_table("".join(t.serialize())).data == t.data
     with pytest.raises(ValueError):
         HWCoefficientTable(2, 5)
+
+
+def test_outside_keys_are_checked_where_they_enter():
+    t = HWCoefficientTable(3, 2)
+    with pytest.raises(ValueError, match=r"masks must lie in \[0, 2\^3\), got 8"):
+        t.data = {(8, 0): 1.0}
+    with pytest.raises(ValueError, match="above the cutoff 2"):
+        t.data = {(7, 7): 2.0}
+    with pytest.raises(ValueError, match=r"masks must lie in \[0, 2\^3\), got 16"):
+        QuasiDistribution(3, {16: 0.5})
+    assert len(t) == 0
+
+
+def test_serialize_streams_its_lines(tmp_path):
+    table = build_table_auto(random_circuit(200, 30, 0.5, seed=0), 2)
+    path = tmp_path / "table.txt"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(table.serialize())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 35_000_000  # 80,201 lines of two 200-bit strings and two values
+    assert peak < size / 8
 
 
 def test_table_size_never_exceeds_max_size():
@@ -178,15 +206,13 @@ def test_idle_saturates_decay_bound():
 
 def test_serialize_golden_and_roundtrip():
     t = HWCoefficientTable(2, 2)
-    t.add(0b00, 0b00, 0.5)
-    t.add(0b10, 0b00, 0.25 - 0.125j)
-    t.add(0b00, 0b10, 0.25 + 0.125j)
-    t.add(0b01, 0b01, 0.0625)
+    t.data = {(0b00, 0b00): 0.5, (0b10, 0b00): 0.25 - 0.125j, (0b00, 0b10): 0.25 + 0.125j,
+              (0b01, 0b01): 0.0625}
     expected = ("00 00 0.5 0\n"
                 "00 10 0.25 0.125\n"
                 "10 00 0.25 -0.125\n"
                 "01 01 0.0625 0\n")
-    assert t.serialize() == expected
+    assert "".join(t.serialize()) == expected
     back = parse_table(expected)
     assert back.n == 2
     assert back.data == t.data
@@ -195,7 +221,7 @@ def test_serialize_golden_and_roundtrip():
 def test_serialize_roundtrip_random():
     c = random_circuit(4, 5, 0.3, seed=11)
     t = build_table(c, 3)
-    back = parse_table(t.serialize())
+    back = parse_table("".join(t.serialize()))
     assert back.n == t.n
     assert set(back.data) == set(t.data)
     for key, v in t.data.items():

@@ -1,8 +1,8 @@
-"""Bitmask-keyed storage of coefficient tables and Fourier supports.
+"""Position-column storage of coefficient tables and Fourier supports.
 
-Past 61 qubits Python's int hash (the value mod 2^61 - 1) maps many bitmasks
-to one hash; the tables store each mask as fixed-width bytes instead, while
-every read still sees int keys in insertion order.
+Tables and supports keep each mask as its ascending qubit positions, padded
+with n, so no int mask is ever hashed; reads go through a read-only view that
+sees int keys in entry order.
 """
 
 import numpy as np
@@ -10,14 +10,9 @@ import pytest
 
 import iqpdamp.sampler as sampler_module
 from iqpdamp.circuit_model import random_circuit
-from iqpdamp.fastpath import build_table_auto, g2_low_weight_coefficients
-from iqpdamp.hw_basis import HWCoefficientTable, MaskMap, build_table, parse_table
+from iqpdamp.fastpath import _g2_components, build_table_auto
+from iqpdamp.hw_basis import HWCoefficientTable, MaskView, build_table, parse_table
 from iqpdamp.sampler import QuasiDistribution, fourier_table, marginal, sample
-
-
-def distinct_hash_share(mapping):
-    stored = list(mapping.raw)
-    return len({hash(key) for key in stored}) / len(stored)
 
 
 def plain_marginal(qd, prefix):
@@ -34,26 +29,41 @@ def plain_marginal(qd, prefix):
     return total / 2.0 ** k
 
 
-def test_keys_past_61_qubits_hash_apart_and_keep_every_entry():
+def reference_entries(circuit, k):
+    """The closed-form table as an int-keyed dict, filled entry by entry."""
+    a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = _g2_components(circuit, k)
+    bit = [1 << (circuit.n - 1 - q) for q in range(circuit.n)]
+    ref = {(0, 0): complex(a00)}
+    if diag_val:
+        ref.update({(b, b): complex(diag_val) for b in bit})
+    for q, v in enumerate(alpha_plus.tolist()):
+        if v != 0:
+            ref[(bit[q], 0)], ref[(0, bit[q])] = v, v.conjugate()
+    for q1, q2, pp, pm in zip(i1.tolist(), i2.tolist(), alpha_pp.tolist(), alpha_pm.tolist()):
+        if pp != 0:
+            ref[(bit[q1] | bit[q2], 0)], ref[(0, bit[q1] | bit[q2])] = pp, pp.conjugate()
+        if pm != 0:
+            ref[(bit[q1], bit[q2])], ref[(bit[q2], bit[q1])] = pm, pm.conjugate()
+    return ref
+
+
+def test_columns_past_61_qubits_match_a_plain_dict_reference():
     n, k = 130, 2
     circuit = random_circuit(n, 12, 0.3, seed=5)
     table = build_table_auto(circuit, k)
     qd = fourier_table(table)
     assert len(table) == 1 + 2 * n + 2 * n * (2 * n - 1) // 2
     assert len(qd.coeffs) == 1 + n + n * (n - 1) // 2
-    # int keys put the 8,385 two-bit masks on 1,891 hashes
-    assert distinct_hash_share(table.data) >= 0.99
-    assert distinct_hash_share(qd.coeffs) >= 0.99
 
-    kets, bras, values = g2_low_weight_coefficients(circuit, k)
-    assert dict(table.data) == dict(zip(zip(kets, bras), values.tolist()))
-
+    ref = reference_entries(circuit, k)
+    # repr tells -0.0 from 0.0, so keys, order and values must all match bit for bit
+    assert repr(list(table.data.items())) == repr(list(ref.items()))
     by_parity = {}
-    for (ket, bra), v in table.data.items():
+    for (ket, bra), v in ref.items():
         by_parity[ket ^ bra] = by_parity.get(ket ^ bra, 0.0) + v
-    assert set(dict(qd.coeffs)) == set(by_parity)
-    for s, c in qd.coeffs.items():
-        assert c == by_parity[s].real
+    assert repr(list(qd.coeffs.items())) == repr([(s, v.real) for s, v in by_parity.items()])
+    for prefix in ("", "1", "0110", "1" * 70, "01" * 65):
+        assert marginal(qd, prefix) == plain_marginal(qd, prefix)
 
 
 def test_plain_dict_assigned_to_table_is_rekeyed():
@@ -62,7 +72,8 @@ def test_plain_dict_assigned_to_table_is_rekeyed():
     t = HWCoefficientTable(n, 2)
     t.data = {(0, 0): 1.0, (top, 0): 0.25 + 0.5j, (0, top): 0.25 - 0.5j,
               (top, low): 0.125j, (low, top): -0.125j, (low, low): 0.0625}
-    assert isinstance(t.data, MaskMap)
+    assert isinstance(t.data, MaskView)
+    assert t.data.kets.tolist() == [[70, 70], [0, 70], [70, 70], [0, 70], [69, 70], [69, 70]]
     assert t.get(top, 0) == 0.25 + 0.5j
     assert t.get(top, top) == 0.0
     qd = fourier_table(t)
@@ -71,17 +82,17 @@ def test_plain_dict_assigned_to_table_is_rekeyed():
 
 def test_serialize_roundtrip_at_70_qubits():
     t = build_table_auto(random_circuit(70, 8, 0.4, seed=2), 2)
-    back = parse_table(t.serialize())
+    back = parse_table("".join(t.serialize()))
     assert back.n == 70
     assert back.data == t.data
-    assert list(back.data.items()) == t.sorted_items()
+    assert list(back.data.items()) == list(t.sorted_items())
 
 
 def test_quasidistribution_rekeys_a_plain_dict():
     n = 80
     coeffs = {0: 1.0, 1 << 79: 0.5, (1 << 79) | (1 << 18): -0.25}
     qd = QuasiDistribution(n, coeffs)
-    assert isinstance(qd.coeffs, MaskMap)
+    assert isinstance(qd.coeffs, MaskView)
     assert qd.coeffs == pytest.approx(coeffs)
     assert qd.total_mass == 1.0
     assert qd.q_tilde(1 << 79) == 0.5 / 2.0 ** n
@@ -101,8 +112,38 @@ def test_table_queries_on_a_rekeyed_table():
     for (ket, bra), v in plain.items():
         dense[ket, bra] += v
     assert np.array_equal(rekeyed.to_dense(), dense)
-    assert rekeyed.sorted_items() == sorted(
+    assert list(rekeyed.sorted_items()) == sorted(
         plain.items(), key=lambda kv: (kv[0][0].bit_count() + kv[0][1].bit_count(), *kv[0]))
+
+
+def test_view_reads_int_keys_and_refuses_edits():
+    n = 9
+    entries = {(0b100000001, 0): 1.5, (0, 0b100000001): 1.5, (3, 4): 2j, (0, 0): 0.25}
+    t = HWCoefficientTable(n, 3)
+    t.data = entries
+    view = t.data
+    assert len(view) == 4 and list(view) == list(entries)
+    assert list(view.items()) == list(entries.items())
+    assert list(view.values()) == list(entries.values())
+    assert view[(3, 4)] == 2j and type(view[(3, 4)]) is complex
+    assert (3, 4) in view and (4, 3) not in view and view.get((4, 3)) is None
+    for key in ((4, 3), (7, 7), (1 << n, 0), (-1, 0), (0.0, 0), 3, (1, 2, 3), "x"):
+        with pytest.raises(KeyError):
+            view[key]
+        assert view.get(key, "absent") == "absent"
+    assert view == entries and view == dict(reversed(entries.items()))
+    assert view != {**entries, (3, 4): 1j} and view != {(0, 0): 0.25}
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 1.0
+    with pytest.raises(TypeError):
+        del view[(0, 0)]
+
+    qd = QuasiDistribution(n, {0b100000001: 1.5, 3: 2.0})
+    assert list(qd.coeffs.items()) == [(0b100000001, 1.5), (3, 2.0)]
+    assert qd.coeffs[3] == 2.0 and type(qd.coeffs[3]) is float
+    for key in (4, (3, 0), -1, 1 << n):
+        with pytest.raises(KeyError):
+            qd.coeffs[key]
 
 
 def test_insertion_order_keeps_marginals_and_draws(monkeypatch):
@@ -118,22 +159,3 @@ def test_insertion_order_keeps_marginals_and_draws(monkeypatch):
     draws = sample(qd, 40, seed=11)
     monkeypatch.setattr(sampler_module, "marginal", plain_marginal)
     assert sample(qd, 40, seed=11) == draws
-
-
-def test_mask_map_reads_and_edits():
-    m = MaskMap(9, pairs=False, entries={0b100000001: 1.5, 3: 2.0})
-    assert m.width == 2
-    assert list(m) == [0b100000001, 3] and len(m) == 2
-    assert m[3] == 2.0 and 3 in m and 4 not in m
-    assert m.get(-1, "absent") == "absent" and m.get("x", "absent") == "absent"
-    m[4] = 1.0
-    del m[3]
-    assert list(m.items()) == [(0b100000001, 1.5), (4, 1.0)]
-    assert m.int_items() == [(0b100000001, 1.5), (4, 1.0)]
-    m[4] = 2.0
-    assert m.int_items() == [(0b100000001, 1.5), (4, 2.0)]
-    with pytest.raises(KeyError):
-        del m[3]
-    assert m == {4: 2.0, 0b100000001: 1.5} and m != {4: 2.0}
-    pairs = MaskMap(9, pairs=True, entries={(1, 2): 1j})
-    assert pairs[(1, 2)] == 1j and (2, 1) not in pairs and 5 not in pairs

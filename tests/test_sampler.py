@@ -35,10 +35,8 @@ def exact_q(qd):
 
 def test_fourier_table_groups_by_xor():
     t = HWCoefficientTable(2, 2)
-    t.add(0b00, 0b00, 0.5)
-    t.add(0b10, 0b00, 0.2 + 0.3j)
-    t.add(0b00, 0b10, 0.2 - 0.3j)
-    t.add(0b01, 0b01, 0.25)
+    t.data = {(0b00, 0b00): 0.5, (0b10, 0b00): 0.2 + 0.3j, (0b00, 0b10): 0.2 - 0.3j,
+              (0b01, 0b01): 0.25}
     qd = fourier_table(t)
     assert qd.coeffs == pytest.approx({0b00: 0.75, 0b10: 0.4})
     assert qd.total_mass == pytest.approx(0.75)
@@ -48,8 +46,7 @@ def test_fourier_table_groups_by_xor():
 
 def test_fourier_table_rejects_non_hermitian():
     t = HWCoefficientTable(2, 2)
-    t.add(0b00, 0b00, 1.0)
-    t.add(0b10, 0b00, 0.5j)  # mirror entry missing: imaginary part survives
+    t.data = {(0b00, 0b00): 1.0, (0b10, 0b00): 0.5j}  # mirror entry missing: imaginary part survives
     with pytest.raises(NumericalError, match="not real"):
         fourier_table(t)
 
