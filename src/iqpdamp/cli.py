@@ -163,6 +163,8 @@ def cmd_sample(args, parser) -> int:
 def cmd_bounds(args, parser) -> int:
     circuit = _load_circuit(args, parser)
     n, d, p = circuit.n, circuit.d, circuit.p
+    if args.kmax is not None and args.kmax < 0:
+        parser.error(f"--kmax must be >= 0, got {args.kmax}")
     kmax = args.kmax if args.kmax is not None else min(2 * n, 12)
     rows = [(k, *truncation_bounds(n, d, p, k)) for k in range(kmax + 1)]
     with _output(args.out) as out:
@@ -234,6 +236,11 @@ def cmd_reproduce_fig2(args, parser) -> int:
     instances = args.instances
     if instances < 1:
         parser.error(f"--instances must be >= 1, got {instances}")
+    if kmax < 0:
+        parser.error(f"--kmax must be >= 0, got {kmax}")
+    problems = validate(idle_circuit(n, d, p))
+    if problems:
+        parser.error("; ".join(problems))
     if n > DENSE_N_CAP:
         parser.error(f"dense sweep needs n <= {DENSE_N_CAP}, got n={n}")
     seeds = np.random.SeedSequence(args.seed).generate_state(instances, dtype=np.uint64)
@@ -290,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Truncated-frame simulation of IQP circuits under amplitude damping")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(sp, required=True):
-        grp = sp.add_mutually_exclusive_group(required=required)
+    def add_source(sp):
+        grp = sp.add_mutually_exclusive_group(required=True)
         grp.add_argument("--circuit", metavar="FILE", help="circuit file to load")
         grp.add_argument("--random", metavar="n,d,p[,l]",
                          help="draw a random circuit with these parameters")

@@ -64,6 +64,8 @@ def _g2_components(circuit: Circuit, cutoff: int):
     if not (0 <= cutoff <= 2):
         raise ValueError(f"fast path covers cutoff <= 2, got {cutoff}")
     n, d, p = circuit.n, circuit.d, circuit.p
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"p must lie in (0,1], got {p}")
     for _, gate in circuit.gates():
         if gate.locality > 2:
             raise ValueError("fast path requires 1- and 2-local gates only")

@@ -134,21 +134,25 @@ class MaskView(Mapping):
     def from_mapping(cls, n: int, entries: Mapping, cutoff: int | None = None) -> "MaskView":
         """Columns of outside keys: masks, or with a `cutoff` (ket, bra) pairs of weight <= cutoff.
 
-        Raises ValueError for a mask outside [0, 2^n) or an entry above the cutoff.
+        Raises ValueError for a mask outside [0, 2^n), an entry above the cutoff
+        or a non-finite value.
         """
-        keys, values = list(entries), list(entries.values())
+        keys = list(entries)
+        vals = np.array(list(entries.values()), dtype=float if cutoff is None else complex)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise ValueError(f"entry {keys[bad[0]]} has a non-finite value {vals[bad[0]]}")
         if cutoff is None:
             kets = [_mask_positions(mask, n) for mask in keys]
             width = max([1, *map(len, kets)])
-            return cls(n, _padded_rows(kets, n, width), None, np.array(values, dtype=float))
+            return cls(n, _padded_rows(kets, n, width), None, vals)
         kets = [_mask_positions(ket, n) for ket, _ in keys]
         bras = [_mask_positions(bra, n) for _, bra in keys]
         for key, ket, bra in zip(keys, kets, bras):
             if len(ket) + len(bra) > cutoff:
                 raise ValueError(f"entry {key} has weight above the cutoff {cutoff}")
         width = row_width(n, cutoff)
-        return cls(n, _padded_rows(kets, n, width), _padded_rows(bras, n, width),
-                   np.array(values, dtype=complex))
+        return cls(n, _padded_rows(kets, n, width), _padded_rows(bras, n, width), vals)
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """Entry index of each key row (ket positions, then bra positions in a table); -1 if absent."""
@@ -203,9 +207,16 @@ class MaskView(Mapping):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mapping):
             return NotImplemented
+        if len(self) != len(other):
+            return False
+        if (isinstance(other, MaskView) and other.n == self.n
+                and (other.bras is None) == (self.bras is None)
+                and other.kets.shape[1] == self.kets.shape[1]):
+            # rows of the same layout: look every own key up in `other` at once
+            at = other.locate(self.kets if self.bras is None else np.hstack((self.kets, self.bras)))
+            return bool((at >= 0).all() and (other.vals[at] == self.vals).all())
         missing = object()
-        return len(self) == len(other) and all(other.get(key, missing) == v
-                                               for key, v in self.iter_items())
+        return all(other.get(key, missing) == v for key, v in self.iter_items())
 
     def __repr__(self) -> str:
         return f"MaskView({dict(self.items())!r})"

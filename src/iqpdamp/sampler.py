@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .hw_basis import HWCoefficientTable, MaskView, void_rows
 
 INDUCED_N_CAP = 12
+IMAG_TOL = 1e-12  # largest imaginary part a Fourier coefficient may keep, relative to the largest one
 
 
 class QuasiDistribution:
@@ -60,14 +61,14 @@ class QuasiDistribution:
         return self.coeffs.get(0, 0.0)
 
 
-def fourier_table(table: HWCoefficientTable, tol: float = 1e-12) -> QuasiDistribution:
+def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
     """Collapse a Hermitian coefficient table onto its Fourier support.
 
     Each entry (a, b) lands on frequency a XOR b, whose positions are the
     symmetric difference of the entry's ket and bra positions. Frequencies
     keep the order of their first entry and each sum runs in entry order.
     Hermitian partners make every accumulated coefficient real. Residual
-    imaginary parts above `tol` (relative to the largest coefficient) raise
+    imaginary parts above IMAG_TOL (relative to the largest coefficient) raise
     NumericalError.
     """
     n, data = table.n, table.data
@@ -82,7 +83,7 @@ def fourier_table(table: HWCoefficientTable, tol: float = 1e-12) -> QuasiDistrib
     imag = np.bincount(group, weights=data.vals.imag, minlength=len(order))
     scale = np.hypot(real, imag).max(initial=0.0)
     worst = np.abs(imag).max(initial=0.0)
-    if worst > tol * max(1.0, scale):
+    if worst > IMAG_TOL * max(1.0, scale):
         raise NumericalError(
             f"Fourier coefficients are not real: residual imaginary part {worst:.3g} "
             f"(Hermiticity violation in the coefficient table)")
@@ -113,58 +114,57 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     return total / 2.0 ** k
 
 
-def _child_marginals(qd: QuasiDistribution, prefix: str,
-                     cache: dict[str, float]) -> tuple[float, float]:
-    s0, s1 = prefix + "0", prefix + "1"
-    if s0 not in cache:
-        cache[s0] = marginal(qd, s0)
-    if s1 not in cache:
-        cache[s1] = marginal(qd, s1)
-    return cache[s0], cache[s1]
+def _mass(qd: QuasiDistribution) -> float:
+    """The root marginal, which is the total mass; NumericalError unless it is > 0 (NaN is not)."""
+    root = marginal(qd, "")
+    if not root > 0.0:
+        raise NumericalError(f"quasidistribution has nonpositive mass {root:.6g}")
+    return root
 
 
-def _forced_child(s0: float, s1: float) -> tuple[str, float]:
-    """(bit, marginal) of the child taken when a child marginal is negative:
-    the other child, or the larger one if both are negative."""
-    return ("1", s1) if s0 < 0.0 and (s1 >= 0.0 or s1 >= s0) else ("0", s0)
+def _decide(qd: QuasiDistribution, prefix: str,
+            cache: dict[str, float]) -> tuple[float, float, str | None]:
+    """(S_y0, S_y1, forced) at prefix y, with child marginals cached by prefix string.
+
+    A negative child forces the other bit, or the larger child if both are negative;
+    otherwise `forced` is None and the bit is 0 with probability S_y0 / S_y."""
+    y0, y1 = prefix + "0", prefix + "1"
+    s0, s1 = cache.get(y0), cache.get(y1)
+    if s0 is None:
+        s0 = cache[y0] = marginal(qd, y0)
+    if s1 is None:
+        s1 = cache[y1] = marginal(qd, y1)
+    if s0 < 0.0 or s1 < 0.0:
+        return s0, s1, "1" if s0 < 0.0 and s1 >= s0 else "0"
+    return s0, s1, None
 
 
 def sample(qd: QuasiDistribution, count: int, seed: int,
            audit: list | None = None) -> list[str]:
     """Draw `count` outcome strings, deterministically in `seed`.
 
-    Bit rule at prefix y: if one child marginal is negative the other branch is
-    forced; if both are negative (numerical noise only) the larger one is
-    taken; otherwise bit 0 is chosen with probability S_y0 / S_y. When `audit`
-    is a list, every decision is appended as (prefix, S_y0, S_y1, forced).
+    Bits follow `_decide`, with one random number per unforced decision. When
+    `audit` is a list, every decision is appended as (prefix, S_y0, S_y1, forced).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    root = marginal(qd, "")
-    if root <= 0.0:
-        raise NumericalError(f"quasidistribution has nonpositive mass {root:.6g}")
+    root = _mass(qd)
     rng = np.random.default_rng(seed)
     cache: dict[str, float] = {"": root}
     out = []
     for _ in range(count):
-        y = ""
-        s_y = root
+        y, s_y = "", root
         for _bit in range(qd.n):
-            s0, s1 = _child_marginals(qd, y, cache)
-            if s0 < 0.0 or s1 < 0.0:
-                forced, s_y = _forced_child(s0, s1)
-                if audit is not None:
-                    audit.append((y, s0, s1, forced))
-                y += forced
-                continue
+            s0, s1, bit = _decide(qd, y, cache)
             if audit is not None:
-                audit.append((y, s0, s1, None))
-            if rng.random() < s0 / s_y:
-                y += "0"
-                s_y = s0
+                audit.append((y, s0, s1, bit))
+            if bit is None:
+                if rng.random() < s0 / s_y:
+                    y, s_y = y + "0", s0
+                else:
+                    y, s_y = y + "1", s1
             else:
-                y += "1"
-                s_y = s1
+                y, s_y = y + bit, s0 if bit == "0" else s1
         out.append(y)
     return out
 
@@ -172,13 +172,11 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
 def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
     """Exact distribution the sampler induces, by full traversal of the bit tree.
 
-    Capped at n <= 12; used for total-variation tests against the dense oracle.
+    Leaves of probability 0 are left out. Capped at n <= 12; used for TVD tests.
     """
     if qd.n > INDUCED_N_CAP:
         raise ValueError(f"induced_distribution capped at n <= {INDUCED_N_CAP}")
-    root = marginal(qd, "")
-    if root <= 0.0:
-        raise NumericalError(f"quasidistribution has nonpositive mass {root:.6g}")
+    root = _mass(qd)
     cache: dict[str, float] = {"": root}
     out: dict[str, float] = {}
 
@@ -186,14 +184,15 @@ def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
         if len(prefix) == qd.n:
             out[prefix] = prob
             return
-        s0, s1 = _child_marginals(qd, prefix, cache)
-        if s0 < 0.0 or s1 < 0.0:
-            forced, s_forced = _forced_child(s0, s1)
-            walk(prefix + forced, prob, s_forced)
+        s0, s1, bit = _decide(qd, prefix, cache)
+        if bit is not None:
+            walk(prefix + bit, prob, s0 if bit == "0" else s1)
             return
         p0 = s0 / s_y
-        walk(prefix + "0", prob * p0, s0)
-        walk(prefix + "1", prob * (1.0 - p0), s1)
+        if p0 != 0.0:
+            walk(prefix + "0", prob * p0, s0)
+        if p0 != 1.0:
+            walk(prefix + "1", prob * (1.0 - p0), s1)
 
     walk("", 1.0, root)
     return out

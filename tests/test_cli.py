@@ -160,6 +160,33 @@ def test_bounds_default_kmax(capsys):
     assert len(lines) == min(2 * 3, 12) + 2  # header + k = 0..6
 
 
+def test_negative_kmax_exits_two(capsys):
+    for argv in (["bounds", "--random", "3,5,0.3", "--kmax", "-1"],
+                 ["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--kmax must be >= 0, got -1" in captured.err
+
+
+def test_reproduce_fig2_checks_the_circuit_before_any_worker(monkeypatch, capsys):
+    def no_worker(payload):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setenv("IQPDAMP_THREADS", "1")
+    monkeypatch.setattr(cli, "_fig2_instance", no_worker)
+    for flags, message in ((["--p", "1.5"], "p must lie in (0,1], got 1.5"),
+                           (["--p", "nan"], "p must lie in (0,1], got nan"),
+                           (["--d", "0"], "d must be >= 1, got 0"),
+                           (["--n", "0"], "n must be >= 1, got 0")):
+        with pytest.raises(SystemExit) as exc:
+            run(["reproduce-fig2", "--instances", "1", "--kmax", "1", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+
+
 def test_validate_ok_and_invalid(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text(VALID)

@@ -75,6 +75,12 @@ def test_rejects_unsupported_inputs():
     c3 = random_circuit(5, 4, 0.2, locality=3, seed=1)
     with pytest.raises(ValueError, match="local"):
         g2_low_weight_table(c3, 2)
+    for p in (math.nan, 0.0, 1.5):  # as the general path's damping layer refuses them
+        bad_p = Circuit(3, 2, p, ((Gate("cphase", (0, 1), 0.3),), ()))
+        assert fast_applicable(bad_p, 2)
+        for builder in (build_table, g2_low_weight_table):
+            with pytest.raises(ValueError, match=r"p must lie in \(0,1\]"):
+                builder(bad_p, 2)
 
 
 def test_fast_applicable_predicate():

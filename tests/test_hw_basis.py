@@ -106,6 +106,12 @@ def test_outside_keys_are_checked_where_they_enter():
         t.data = {(7, 7): 2.0}
     with pytest.raises(ValueError, match=r"masks must lie in \[0, 2\^3\), got 16"):
         QuasiDistribution(3, {16: 0.5})
+    for value in (complex("nan"), complex(0.0, math.inf), -math.inf):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) has a non-finite value"):
+            t.data = {(1, 1): 1.0, (0, 0): value}
+    for value in (float("nan"), math.inf):
+        with pytest.raises(ValueError, match="entry 2 has a non-finite value"):
+            QuasiDistribution(2, {0: 1.0, 2: value})
     assert len(t) == 0
 
 

@@ -146,6 +146,37 @@ def test_view_reads_int_keys_and_refuses_edits():
             qd.coeffs[key]
 
 
+def test_views_compare_in_bulk_like_dicts(monkeypatch):
+    entries = {(0b100000001, 0): 1.5, (0, 0b100000001): 1.5, (3, 4): 2j, (0, 0): 0.0}
+    variants = [dict(reversed(entries.items())),
+                {**{k: v for k, v in entries.items() if k != (3, 4)}, (4, 3): 2j},
+                {**entries, (3, 4): 1j},
+                {**entries, (0, 0): -0.0},
+                {(0, 0): 0.0}]
+    supports = [{0b100000001: 1.5, 3: 2.0, 0: 0.0}, {0: -0.0, 3: 2.0, 0b100000001: 1.5},
+                {0b100000001: 1.5, 5: 2.0, 0: 0.0}, {0b100000001: 1.5, 3: 2.5, 0: 0.0}]
+
+    def table(data):
+        t = HWCoefficientTable(9, 3)
+        t.data = data
+        return t.data
+
+    pairs = [(table(entries), table(other), entries, other) for other in variants]
+    pairs += [(QuasiDistribution(9, supports[0]).coeffs, QuasiDistribution(9, other).coeffs,
+               supports[0], other) for other in supports]
+
+    def no_single_lookups(self, key):
+        raise AssertionError("views of the same layout compare without single-key lookups")
+
+    monkeypatch.setattr(MaskView, "__getitem__", no_single_lookups)
+    for a, b, da, db in pairs:
+        assert (a == b) is (b == a) is (da == db)
+    assert [da == db for _, _, da, db in pairs] == [True, False, False, True, False,
+                                                     True, True, False, False]
+    monkeypatch.undo()
+    assert table(entries) == entries and table(entries) != variants[2]
+
+
 def test_insertion_order_keeps_marginals_and_draws(monkeypatch):
     table = build_table_auto(random_circuit(12, 14, 0.4, seed=3), 2)
     assert list(table.data) == list(dict(table.data))

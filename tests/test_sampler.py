@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from helpers import truncate_by_weight, tvd
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import born_distribution, evolve_dense, hadamard_conjugate
 from iqpdamp.errors import NumericalError
-from iqpdamp.hw_basis import HWCoefficientTable, build_table
+from iqpdamp.hw_basis import POSITION, HWCoefficientTable, MaskView, build_table
 from iqpdamp.sampler import (
     QuasiDistribution,
     fourier_table,
@@ -187,5 +189,20 @@ def test_nonpositive_mass_is_rejected():
         sample(empty, 1, seed=0)
     with pytest.raises(NumericalError, match="nonpositive mass"):
         induced_distribution(QuasiDistribution(2, {0: -0.5}))
+    # a builder's NaN comes as columns, which skip the mapping entry point's checks
+    nan = QuasiDistribution(2, MaskView(2, np.full((1, 1), 2, dtype=POSITION), None,
+                                        np.array([math.nan])))
+    with pytest.raises(NumericalError, match="nonpositive mass nan"):
+        sample(nan, 3, seed=0)
+    with pytest.raises(NumericalError, match="nonpositive mass nan"):
+        induced_distribution(nan)
     with pytest.raises(ValueError):
         sample(uniform_qd(2), -1, seed=0)
+
+
+def test_induced_distribution_skips_zero_probability_prefixes():
+    # prefix "1" has probability 0 and both of its children have mass 0
+    qd = QuasiDistribution(2, {0: 1.0, 0b10: 1.0})
+    assert (marginal(qd, "1"), marginal(qd, "10"), marginal(qd, "11")) == (0.0, 0.0, 0.0)
+    assert induced_distribution(qd) == {"00": 0.5, "01": 0.5}
+    assert set(sample(qd, 200, seed=4)) == {"00", "01"}
