@@ -3,6 +3,7 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 import iqpdamp.cli as cli
@@ -171,7 +172,7 @@ def test_negative_kmax_exits_two(capsys):
 
 
 def test_reproduce_fig2_checks_the_circuit_before_any_worker(monkeypatch, capsys):
-    def no_worker(payload):
+    def no_worker(circuit, kmax):
         raise AssertionError("a worker started")
 
     monkeypatch.setenv("IQPDAMP_THREADS", "1")
@@ -317,7 +318,7 @@ def test_reproduce_fig2_csv_and_jsonl_agree(tmp_path, monkeypatch):
         assert list(row.values()) == [float(x) for x in line.split(",")]
 
 
-def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch):
+def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch, capsys):
     monkeypatch.delenv("IQPDAMP_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -326,9 +327,63 @@ def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch):
     monkeypatch.setenv("IQPDAMP_THREADS", "5")
     assert cli._worker_count(10) == 5
     assert cli._worker_count(4) == 4
+    for bad in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("IQPDAMP_THREADS", bad)
+        with pytest.raises(ValueError, match=f"IQPDAMP_THREADS must be an integer >= 1, got {bad!r}"):
+            cli._worker_count(10)
+    monkeypatch.setenv("IQPDAMP_THREADS", "abc")
+    assert run(["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "1"]) == 2
+    assert "error: IQPDAMP_THREADS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
     monkeypatch.delenv("IQPDAMP_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._worker_count(100) == 64
+
+
+def test_reproduce_fig2_output_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    argv = ["reproduce-fig2", "--n", "4", "--d", "3", "--p", "0.3",
+            "--instances", "4", "--kmax", "9", "--seed", "3"]
+    outputs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("IQPDAMP_THREADS", threads)
+        out = tmp_path / f"fig2-{threads}.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def test_reproduce_fig2_skips_eigendecompositions_of_the_zero_matrix(tmp_path, monkeypatch):
+    # For k >= 2n = 6 nothing is truncated; those rows need no eigvalsh call.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setenv("IQPDAMP_THREADS", "2")
+    out = tmp_path / "fig2.jsonl"
+    assert run(["reproduce-fig2", "--n", "3", "--d", "4", "--p", "0.4", "--instances", "2",
+                "--kmax", "9", "--format", "jsonl", "--out", str(out)]) == 0
+    assert len(calls) == 3 * 6  # two random instances and the idle one, k = 0..5
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 10
+    for row in rows[:6]:
+        assert row["td_max"] > 0.0 and row["idle_td"] > 0.0
+    for row in rows[6:]:
+        assert all(row[col] == 0.0 for col in ("hs_bound", "hs_max", "td_mean", "td_min",
+                                               "td_max", "idle_hs", "idle_td"))
+
+
+def test_reproduce_fig2_checks_the_bound_only_where_it_is_proven(monkeypatch, capsys):
+    # n(1-p)^d = 3 * 0.9^2 = 2.43, so the hs bound is proven from k = 2 on only.
+    monkeypatch.setenv("IQPDAMP_THREADS", "1")
+    argv = ["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "3"]
+    assert run(argv) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "hs_truncation_bound", lambda n, d, p, k: 0.0)
+    assert run(argv) == 4
+    assert "measured squared hs error exceeds its bound at k=[2, 3]" in capsys.readouterr().err
 
 
 def test_reproduce_fig2_deterministic(tmp_path, monkeypatch):
