@@ -52,6 +52,12 @@ from .sampler import fourier_table, sample
 # for hours or exhaust memory.
 MAX_TABLE_ENTRIES = 10 ** 7
 
+# Relative slack of reproduce-fig2's bound check, at float-rounding scale. At
+# k = 2n - 1 the only truncated entry is the all-ones diagonal, whose squared
+# magnitude equals hs_truncation_bound exactly, and rounding puts the measured
+# value a few ulps above it.
+HS_CHECK_RTOL = 1e-12
+
 
 def _fmt(x: float) -> str:
     return format(x, FLOAT_FMT)
@@ -282,7 +288,8 @@ def cmd_reproduce_fig2(args, parser) -> int:
 
     # The hs bound is proven only in the Chernoff regime k + 1 >= n(1-p)^d.
     keep = chernoff_min_keep(n, d, p)
-    violations = [k for k in range(kmax + 1) if k + 1 >= keep and hs[:, k].max() > bound[k]]
+    violations = [k for k in range(kmax + 1)
+                  if k + 1 >= keep and hs[:, k].max() > bound[k] * (1.0 + HS_CHECK_RTOL)]
     dominance = [k for k in range(kmax + 1) if idle_hs[k] < hs[:, k].max()]
     td_above = [k for k in range(kmax + 1) if td[:, k].mean() > bound[k]]
     if dominance:

@@ -7,6 +7,12 @@ ket XOR bra over stored coefficients, kept like a table as parity positions
 marginals are exact sparse sums, and samples are drawn one bit at a time: a
 negative child marginal forces the other branch, otherwise the bit extends
 with probability S_y0 / S_y. Outcome bit 0 encodes the |+> result, 1 encodes |->.
+
+A marginal is one numpy pass over the support's position columns: each
+frequency's sign (or 0 when it reaches past the prefix) is gathered from a
+factor per position, and the signed values are added in entry order by a
+running sum, so every marginal is bitwise a plain sequential loop's. That is
+O(support * row width) numpy work per call.
 """
 
 from __future__ import annotations
@@ -41,9 +47,18 @@ class QuasiDistribution:
         return self._coeffs
 
     @cached_property
-    def _pairs(self) -> list[tuple[int, float]]:
-        """(mask, coefficient) pairs in entry order, decoded once for `marginal`."""
-        return list(self.coeffs.items())
+    def _columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """(base factor, contiguous parity columns, values), made once for `marginal`.
+
+        The base factor is 0 at every qubit position and 1 at the sentinel n.
+        Columns and values start with one extra entry, frequency 0 of value 0.0,
+        so an entry-order sum starts from 0.0 like a loop, also on an empty support.
+        """
+        n, kets = self.n, self.coeffs.kets
+        base = np.zeros(n + 1)
+        base[n] = 1.0
+        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in kets.T)
+        return base, columns, np.concatenate(([0.0], self.coeffs.vals))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiDistribution):
@@ -90,11 +105,20 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
     return QuasiDistribution(n, MaskView(n, parity[first[order]], None, real))
 
 
+# prefix bytes read as int8 factors: "0" -> +1, "1" -> -1
+_SIGNS = bytes.maketrans(b"01", b"\x01\xff")
+
+
 def marginal(qd: QuasiDistribution, prefix: str) -> float:
     """Exact S_y = sum of q(x) over all completions of the bit prefix y.
 
     Sparse Parseval sum: only frequencies supported on the prefix qubits
-    survive the average over completions. O(support size) per call.
+    survive the average over completions. A factor per position holds
+    (-1)^y_q on the prefix, 0 past it and 1 at the sentinel; the product of
+    its gathers through the parity columns signs each coefficient or zeroes
+    it. The terms are added in entry order by `np.add.accumulate` (a running
+    sum; `np.sum` would add pairwise), so over finite coefficients the result
+    is bitwise a sequential loop's. O(support * row width) numpy work per call.
     """
     k = len(prefix)
     n = qd.n
@@ -102,16 +126,13 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
         raise ValueError(f"prefix longer than n={n}: {prefix!r}")
     if prefix.strip("01"):
         raise ValueError(f"prefix must consist of 0s and 1s, got {prefix!r}")
-    y = int(prefix, 2) if k else 0
-    shift = n - k
-    suffix_mask = (1 << shift) - 1
-    y_bits = y << shift
-    total = 0.0
-    for s, c in qd._pairs:
-        if s & suffix_mask:
-            continue
-        total += -c if (y_bits & s).bit_count() & 1 else c
-    return total / 2.0 ** k
+    base, columns, vals = qd._columns
+    factor = base.copy()
+    factor[:k] = np.frombuffer(prefix.encode().translate(_SIGNS), np.int8)
+    term = vals * factor.take(columns[0])
+    for column in columns[1:]:
+        term *= factor.take(column)
+    return float(np.add.accumulate(term)[-1]) / 2.0 ** k
 
 
 def _mass(qd: QuasiDistribution) -> float:

@@ -84,3 +84,20 @@ def trace_distance(a, b):
 
 def hs_distance(a, b):
     return float(np.linalg.norm(a - b))
+
+
+def plain_marginal(qd, prefix):
+    """The prefix marginal as a sequential loop over a plain int-keyed dict of the coefficients.
+
+    The reference for `sampler.marginal`, which must give the same float bit for bit.
+    """
+    k, n = len(prefix), qd.n
+    y = int(prefix, 2) if k else 0
+    shift = n - k
+    suffix_mask = (1 << shift) - 1
+    total = 0.0
+    for s, c in dict(qd.coeffs.items()).items():
+        if s & suffix_mask:
+            continue
+        total += -c if ((y << shift) & s).bit_count() & 1 else c
+    return total / 2.0 ** k

@@ -386,6 +386,23 @@ def test_reproduce_fig2_checks_the_bound_only_where_it_is_proven(monkeypatch, ca
     assert "measured squared hs error exceeds its bound at k=[2, 3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_reproduce_fig2_tolerates_rounding_where_the_bound_is_tight(n, monkeypatch, capsys):
+    # At k = 2n - 1 only the all-ones diagonal is truncated, and its squared magnitude
+    # equals the bound; rounding puts the measured value a few ulps above it.
+    monkeypatch.setenv("IQPDAMP_THREADS", "1")
+    argv = ["reproduce-fig2", "--n", str(n), "--d", "4", "--instances", "1",
+            "--kmax", str(2 * n + 1)]
+    assert run(argv) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "hs_truncation_bound",
+                        lambda n, d, p, k: hs_truncation_bound(n, d, p, k) / 2.0)
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "measured squared hs error exceeds its bound" in err
+    assert f"{2 * n - 1}]" in err
+
+
 def test_reproduce_fig2_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("IQPDAMP_THREADS", "1")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

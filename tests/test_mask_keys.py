@@ -8,25 +8,12 @@ sees int keys in entry order.
 import numpy as np
 import pytest
 
+from helpers import plain_marginal
 import iqpdamp.sampler as sampler_module
 from iqpdamp.circuit_model import random_circuit
 from iqpdamp.fastpath import _g2_components, build_table_auto
 from iqpdamp.hw_basis import HWCoefficientTable, MaskView, build_table, parse_table
 from iqpdamp.sampler import QuasiDistribution, fourier_table, marginal, sample
-
-
-def plain_marginal(qd, prefix):
-    """The prefix marginal summed over a plain int-keyed dict of the coefficients."""
-    k, n = len(prefix), qd.n
-    y = int(prefix, 2) if k else 0
-    shift = n - k
-    suffix_mask = (1 << shift) - 1
-    total = 0.0
-    for s, c in dict(qd.coeffs).items():
-        if s & suffix_mask:
-            continue
-        total += -c if ((y << shift) & s).bit_count() & 1 else c
-    return total / 2.0 ** k
 
 
 def reference_entries(circuit, k):

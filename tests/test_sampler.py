@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import truncate_by_weight, tvd
+from helpers import plain_marginal, truncate_by_weight, tvd
+import iqpdamp.sampler as sampler_module
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import born_distribution, evolve_dense, hadamard_conjugate
 from iqpdamp.errors import NumericalError
+from iqpdamp.fastpath import build_table_auto
 from iqpdamp.hw_basis import POSITION, HWCoefficientTable, MaskView, build_table
 from iqpdamp.sampler import (
     QuasiDistribution,
@@ -62,6 +64,67 @@ def test_marginal_uniform_and_bad_prefix():
     for prefix in ("0b1", "1_0", " 01", "+1", "-1", "012", "1 ", "\u0661"):
         with pytest.raises(ValueError, match="0s and 1s"):
             marginal(qd, prefix)
+
+
+def test_bad_prefix_is_refused_before_any_numpy_work(monkeypatch):
+    qd = uniform_qd(3)
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used on a bad prefix")
+
+    monkeypatch.setattr(sampler_module, "np", NoNumpy())
+    for prefix in ("\u0661", "0\u0661", "\u0661\u0660", "01\u00b2"):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            marginal(qd, prefix)
+    with pytest.raises(ValueError, match="prefix longer than n=3"):
+        marginal(qd, "0000")
+
+
+def support_2local_n32():
+    return fourier_table(build_table_auto(random_circuit(32, 28, 0.5, locality=2, seed=5), 2))
+
+
+def support_3local():
+    table = build_table_auto(random_circuit(6, 5, 0.9, locality=3, seed=0), 4)
+    assert table.data.kets.shape[1] == 4
+    return fourier_table(table)
+
+
+def support_n70():
+    return fourier_table(build_table_auto(random_circuit(70, 8, 0.4, seed=2), 2))
+
+
+@pytest.mark.parametrize("make", [
+    support_2local_n32,
+    support_3local,
+    support_n70,
+    lambda: QuasiDistribution(9, {0: 0.75}),
+    lambda: QuasiDistribution(5, {}),
+    # frequencies past the prefix give -0.0 terms; the sum still starts from 0.0
+    lambda: QuasiDistribution(3, {0b100: -0.5, 0b010: -0.25}),
+], ids=["2local-n32", "3local-k4", "n70", "frequency-0-only", "empty", "negative-first"])
+def test_marginal_is_bitwise_the_plain_loop_at_every_prefix_length(make):
+    qd = make()
+    rng = np.random.default_rng(qd.n)
+    for bits in ("0" * qd.n, "1" * qd.n, "".join(rng.choice(["0", "1"], size=qd.n))):
+        for length in range(qd.n + 1):
+            # repr tells -0.0 from 0.0
+            assert repr(marginal(qd, bits[:length])) == repr(plain_marginal(qd, bits[:length]))
+
+
+def test_sampler_follows_the_plain_loop(monkeypatch):
+    wide, small = support_2local_n32(), support_3local()
+    draws = (sample(wide, 200, seed=3), sample(small, 200, seed=4))
+    audit = []
+    sample(small, 50, seed=8, audit=audit)
+    induced = induced_distribution(small)
+    monkeypatch.setattr(sampler_module, "marginal", plain_marginal)
+    assert (sample(wide, 200, seed=3), sample(small, 200, seed=4)) == draws
+    plain_audit = []
+    sample(small, 50, seed=8, audit=plain_audit)
+    assert repr(plain_audit) == repr(audit)
+    assert repr(induced_distribution(small)) == repr(induced)
 
 
 def test_marginal_closed_form_on_idle_qubit():
@@ -198,6 +261,11 @@ def test_nonpositive_mass_is_rejected():
         induced_distribution(nan)
     with pytest.raises(ValueError):
         sample(uniform_qd(2), -1, seed=0)
+    # a NaN at any frequency reaches every marginal, the total mass included
+    nan_off_root = QuasiDistribution(2, MaskView(2, np.array([[2], [0]], dtype=POSITION), None,
+                                                 np.array([1.0, math.nan])))
+    with pytest.raises(NumericalError, match="nonpositive mass nan"):
+        sample(nan_off_root, 3, seed=0)
 
 
 def test_induced_distribution_skips_zero_probability_prefixes():
