@@ -117,22 +117,39 @@ def serialize_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, line: int, column: int, what: str) -> int:
+def _column(line: str, index: int) -> int:
+    """1-based column of the index-th whitespace-separated token of `line`."""
+    tokens = line.split()
+    at = 0
+    for token in tokens[:index]:
+        at = line.index(token, at) + len(token)
+    return line.index(tokens[index], at) + 1
+
+
+def _parse_int(token: str, index: int, line: str, lineno: int, what: str) -> int:
+    """int(token); on failure a CircuitFormatError at the index-th token of `line`."""
     try:
         return int(token)
     except ValueError:
-        raise CircuitFormatError(f"expected integer {what}, got {token!r}", line, column) from None
+        raise CircuitFormatError(f"expected integer {what}, got {token!r}", lineno,
+                                 _column(line, index)) from None
 
 
-def _parse_float(token: str, line: int, column: int, what: str) -> float:
+def _parse_float(token: str, index: int, line: str, lineno: int, what: str) -> float:
+    """float(token); on failure a CircuitFormatError at the index-th token of `line`."""
     try:
         return float(token)
     except ValueError:
-        raise CircuitFormatError(f"expected number {what}, got {token!r}", line, column) from None
+        raise CircuitFormatError(f"expected number {what}, got {token!r}", lineno,
+                                 _column(line, index)) from None
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse a circuit document. Raises CircuitFormatError with line/column on bad input."""
+    """Parse a circuit document. Raises CircuitFormatError with line/column on bad input.
+
+    A column is that of the offending token, or of the line's first token when
+    the line as a whole is at fault.
+    """
     header: tuple[int, int, float] | None = None
     layers: list[list[Gate]] = []
     current: list[Gate] | None = None
@@ -142,47 +159,50 @@ def parse_circuit(text: str) -> Circuit:
         if not line.strip():
             continue
         tokens = line.split()
-        col = raw.index(tokens[0]) + 1
+
+        def fail(message: str, index: int = 0) -> CircuitFormatError:
+            return CircuitFormatError(message, lineno, _column(line, index))
 
         if header is None:
             if tokens[0] != "iqp":
-                raise CircuitFormatError(f"expected header 'iqp n=... d=... p=...', got {tokens[0]!r}", lineno, col)
+                raise fail(f"expected header 'iqp n=... d=... p=...', got {tokens[0]!r}")
             fields = {}
-            for tok in tokens[1:]:
+            for i, tok in enumerate(tokens[1:], start=1):
                 if "=" not in tok:
-                    raise CircuitFormatError(f"malformed header field {tok!r}", lineno, raw.index(tok) + 1)
+                    raise fail(f"malformed header field {tok!r}", i)
                 key, _, val = tok.partition("=")
-                fields[key] = (val, raw.index(tok) + 1)
+                fields[key] = (val, i)
             for key in ("n", "d", "p"):
                 if key not in fields:
-                    raise CircuitFormatError(f"header missing {key}=", lineno, col)
-            n = _parse_int(fields["n"][0], lineno, fields["n"][1], "n")
-            d = _parse_int(fields["d"][0], lineno, fields["d"][1], "d")
-            p = _parse_float(fields["p"][0], lineno, fields["p"][1], "p")
+                    raise fail(f"header missing {key}=")
+            n = _parse_int(*fields["n"], line, lineno, "n")
+            d = _parse_int(*fields["d"], line, lineno, "d")
+            p = _parse_float(*fields["p"], line, lineno, "p")
             header = (n, d, p)
             continue
 
         if tokens[0] == "layer":
             if len(tokens) != 2:
-                raise CircuitFormatError("layer line takes exactly one index", lineno, col)
-            idx = _parse_int(tokens[1], lineno, raw.index(tokens[1]) + 1, "layer index")
+                raise fail("layer line takes exactly one index")
+            idx = _parse_int(tokens[1], 1, line, lineno, "layer index")
             if idx != len(layers):
-                raise CircuitFormatError(f"layer indices must be consecutive; expected {len(layers)}, got {idx}", lineno, col)
+                raise fail(f"layer indices must be consecutive; expected {len(layers)}, got {idx}")
             current = []
             layers.append(current)
             continue
 
         if tokens[0] in (RZ, CPHASE):
             if current is None:
-                raise CircuitFormatError("gate line before any 'layer' marker", lineno, col)
+                raise fail("gate line before any 'layer' marker")
             if len(tokens) < 3:
-                raise CircuitFormatError(f"{tokens[0]} line needs targets and an angle", lineno, col)
-            targets = tuple(_parse_int(t, lineno, raw.index(t) + 1, "qubit") for t in tokens[1:-1])
-            theta = _parse_float(tokens[-1], lineno, raw.rindex(tokens[-1]) + 1, "angle")
+                raise fail(f"{tokens[0]} line needs targets and an angle")
+            targets = tuple(_parse_int(t, i, line, lineno, "qubit")
+                            for i, t in enumerate(tokens[1:-1], start=1))
+            theta = _parse_float(tokens[-1], len(tokens) - 1, line, lineno, "angle")
             current.append(Gate(tokens[0], targets, theta))
             continue
 
-        raise CircuitFormatError(f"unrecognized directive {tokens[0]!r}", lineno, col)
+        raise fail(f"unrecognized directive {tokens[0]!r}")
 
     if header is None:
         raise CircuitFormatError("empty document: missing 'iqp' header")

@@ -8,9 +8,11 @@ Subcommands:
   reproduce-fig2  bound-vs-measured-error sweep over seeded random circuits
 
 Exit codes: 0 success, 2 usage or circuit-format error or an oversized
-request, 3 certification refusal, 4 numerical failure. reproduce-fig2 runs
-its instances on threads in one process, one per CPU; IQPDAMP_THREADS (an
-integer >= 1) sets the thread count instead.
+request, 3 certification refusal, 4 numerical failure. Commands raise; `main`
+alone turns a refusal into its code and one stderr line (`error: <message>`
+for code 2), and only argparse's syntax errors print usage and raise
+SystemExit(2). reproduce-fig2 runs its instances on threads in one process,
+one per CPU; IQPDAMP_THREADS (an integer >= 1) sets the thread count instead.
 """
 
 from __future__ import annotations
@@ -63,41 +65,41 @@ def _fmt(x: float) -> str:
     return format(x, FLOAT_FMT)
 
 
-def _parse_random_spec(text: str, parser: argparse.ArgumentParser) -> tuple[int, int, float, int]:
+def _parse_random_spec(text: str) -> tuple[int, int, float, int]:
     parts = text.split(",")
     if len(parts) not in (3, 4):
-        parser.error(f"--random expects n,d,p[,l], got {text!r}")
+        raise ValueError(f"--random expects n,d,p[,l], got {text!r}")
     try:
         n, d, p = int(parts[0]), int(parts[1]), float(parts[2])
         loc = int(parts[3]) if len(parts) == 4 else 2
     except ValueError:
-        parser.error(f"--random expects n,d,p[,l] with integer n,d,l and float p, got {text!r}")
+        raise ValueError(f"--random expects n,d,p[,l] with integer n,d,l and float p, "
+                         f"got {text!r}") from None
     return n, d, p, loc
 
 
-def _load_circuit(args, parser: argparse.ArgumentParser) -> Circuit:
+def _load_circuit(args) -> Circuit:
     if args.circuit is not None:
         try:
             with open(args.circuit, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            parser.error(f"cannot read circuit file: {exc}")
+            raise ValueError(f"cannot read circuit file: {exc}") from None
         return parse_circuit(text)
-    n, d, p, loc = _parse_random_spec(args.random, parser)
-    try:
-        return random_circuit(n, d, p, locality=loc, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    n, d, p, loc = _parse_random_spec(args.random)
+    return random_circuit(n, d, p, locality=loc, seed=args.seed)
 
 
-@contextlib.contextmanager
 def _output(path: str | None):
-    """The file at `path`, opened for writing and closed on exit; stdout when None."""
+    """The file at `path`, opened for writing now, as a context manager; stdout when None.
+
+    Raises ValueError if it cannot be opened, so callers open it before the work."""
     if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from None
 
 
 def _write_records(out, fmt: str | None, columns: tuple[str, ...], rows) -> None:
@@ -135,11 +137,11 @@ def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     return k, report
 
 
-def cmd_simulate(args, parser) -> int:
-    circuit = _load_circuit(args, parser)
+def cmd_simulate(args) -> int:
+    circuit = _load_circuit(args)
     k, report = _pick_cutoff(circuit, args)
-    table = build_table_auto(circuit, k)
     with _output(args.out) as out:
+        table = build_table_auto(circuit, k)
         if args.format is None:
             out.writelines(table.serialize())
         else:
@@ -154,10 +156,10 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def cmd_sample(args, parser) -> int:
+def cmd_sample(args) -> int:
     if args.samples < 0:
-        parser.error(f"--samples must be >= 0, got {args.samples}")
-    circuit = _load_circuit(args, parser)
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    circuit = _load_circuit(args)
     k, _ = _pick_cutoff(circuit, args)
     with _output(args.out) as out:
         if args.samples == 0:
@@ -173,11 +175,11 @@ def cmd_sample(args, parser) -> int:
     return 0
 
 
-def cmd_bounds(args, parser) -> int:
-    circuit = _load_circuit(args, parser)
+def cmd_bounds(args) -> int:
+    circuit = _load_circuit(args)
     n, d, p = circuit.n, circuit.d, circuit.p
     if args.kmax is not None and args.kmax < 0:
-        parser.error(f"--kmax must be >= 0, got {args.kmax}")
+        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     kmax = args.kmax if args.kmax is not None else min(2 * n, 12)
     rows = [(k, *truncation_bounds(n, d, p, k)) for k in range(kmax + 1)]
     with _output(args.out) as out:
@@ -185,9 +187,9 @@ def cmd_bounds(args, parser) -> int:
     return 0
 
 
-def cmd_validate(args, parser) -> int:
+def cmd_validate(args) -> int:
     try:
-        circuit = _load_circuit(args, parser)
+        circuit = _load_circuit(args)
     except CircuitFormatError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
@@ -198,7 +200,7 @@ def cmd_validate(args, parser) -> int:
         return 2
     if args.dense_check:
         if circuit.n > min(8, DENSE_N_CAP):
-            parser.error(f"--dense-check needs n <= 8, got n={circuit.n}")
+            raise ValueError(f"--dense-check needs n <= 8, got n={circuit.n}")
         table = build_table(circuit, 2 * circuit.n)
         rho = evolve_dense(circuit).rho
         worst = max(abs(v - rho[ket, bra]) for (ket, bra), v in table.data.items())
@@ -249,39 +251,38 @@ def _worker_count(instances: int) -> int:
     return min(wanted, instances)
 
 
-def cmd_reproduce_fig2(args, parser) -> int:
+def cmd_reproduce_fig2(args) -> int:
     n, d, p = args.n, args.d, args.p
     kmax = args.kmax
     instances = args.instances
     if instances < 1:
-        parser.error(f"--instances must be >= 1, got {instances}")
+        raise ValueError(f"--instances must be >= 1, got {instances}")
     if kmax < 0:
-        parser.error(f"--kmax must be >= 0, got {kmax}")
+        raise ValueError(f"--kmax must be >= 0, got {kmax}")
     idle = idle_circuit(n, d, p)  # the sweep's idle reference instance
     problems = validate(idle)
     if problems:
-        parser.error("; ".join(problems))
+        raise ValueError("; ".join(problems))
     if n > DENSE_N_CAP:
-        parser.error(f"dense sweep needs n <= {DENSE_N_CAP}, got n={n}")
+        raise ValueError(f"dense sweep needs n <= {DENSE_N_CAP}, got n={n}")
     seeds = np.random.SeedSequence(args.seed).generate_state(instances, dtype=np.uint64)
     circuits = [random_circuit(n, d, p, locality=2, seed=int(s)) for s in seeds] + [idle]
+    workers = _worker_count(len(circuits))
     from concurrent.futures import ThreadPoolExecutor
-
-    # numpy releases the GIL inside LAPACK and its elementwise loops, so threads overlap.
-    with ThreadPoolExecutor(_worker_count(len(circuits))) as pool:
-        results = list(pool.map(_fig2_instance, circuits, [kmax] * len(circuits)))
-    idle_hs, idle_td = results.pop()
-    hs = np.array([r[0] for r in results])   # instances x (kmax+1)
-    td = np.array([r[1] for r in results])
-
-    bound = [hs_truncation_bound(n, d, p, k) for k in range(kmax + 1)]
 
     def spread(col) -> tuple[float, float, float]:
         return float(col.mean()), float(col.min()), float(col.max())
 
-    rows = [(k, bound[k], *spread(hs[:, k]), *spread(td[:, k]), idle_hs[k], idle_td[k])
-            for k in range(kmax + 1)]
     with _output(args.out) as out:
+        # numpy releases the GIL inside LAPACK and its elementwise loops, so threads overlap.
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(_fig2_instance, circuits, [kmax] * len(circuits)))
+        idle_hs, idle_td = results.pop()
+        hs = np.array([r[0] for r in results])   # instances x (kmax+1)
+        td = np.array([r[1] for r in results])
+        bound = [hs_truncation_bound(n, d, p, k) for k in range(kmax + 1)]
+        rows = [(k, bound[k], *spread(hs[:, k]), *spread(td[:, k]), idle_hs[k], idle_td[k])
+                for k in range(kmax + 1)]
         _write_records(out, args.format,
                        ("k", "hs_bound", "hs_mean", "hs_min", "hs_max",
                         "td_mean", "td_min", "td_max", "idle_hs", "idle_td"), rows)
@@ -378,20 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
-    except CircuitFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except CertificationError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # CircuitFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,8 +134,8 @@ class MaskView(Mapping):
     def from_mapping(cls, n: int, entries: Mapping, cutoff: int | None = None) -> "MaskView":
         """Columns of outside keys: masks, or with a `cutoff` (ket, bra) pairs of weight <= cutoff.
 
-        Raises ValueError for a mask outside [0, 2^n), an entry above the cutoff
-        or a non-finite value.
+        Raises ValueError for a table key that is not a (ket, bra) pair, a mask
+        outside [0, 2^n), an entry above the cutoff or a non-finite value.
         """
         keys = list(entries)
         vals = np.array(list(entries.values()), dtype=float if cutoff is None else complex)
@@ -146,6 +146,9 @@ class MaskView(Mapping):
             kets = [_mask_positions(mask, n) for mask in keys]
             width = max([1, *map(len, kets)])
             return cls(n, _padded_rows(kets, n, width), None, vals)
+        for key in keys:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"table keys must be (ket, bra) pairs of masks, got {key!r}")
         kets = [_mask_positions(ket, n) for ket, _ in keys]
         bras = [_mask_positions(bra, n) for _, bra in keys]
         for key, ket, bra in zip(keys, kets, bras):
@@ -344,7 +347,7 @@ def parse_table(text: str) -> HWCoefficientTable:
     return HWCoefficientTable(n, cutoff, (kets, bras, np.array(vals, dtype=complex)))
 
 
-def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoefficientTable:
+def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     """Propagate every needed initial string through `circuit` and extract the table.
 
     A propagated branch whose off-diagonal slots match an index (a, b) exactly
@@ -354,17 +357,18 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
     weight <= cutoff comes from exactly one initial string, so each entry is
     the sum over that string's branches, in branch order, appended once.
 
-    With mirror=True only one string of each Hermitian-conjugate pair is
-    propagated; the partner's entries are the mirrored conjugates, appended
-    right after, which makes the table exactly Hermitian.
+    Only one string of each Hermitian-conjugate pair is propagated; the
+    partner's entries are the mirrored conjugates, appended right after, which
+    makes the table exactly Hermitian. An entry whose sum is exactly 0 is left
+    out with its mirror, as in the fast path, so a table holds the nonzero
+    coefficients of weight <= cutoff.
     """
     n = circuit.n
     kets, bras, vals = [], [], []  # position lists and values, in entry order
     for s in initial_strings(n, min(cutoff, n)):
         slots = s.offdiag_slots()
-        if mirror and slots and slots[0][1] == MINUS:
+        if slots and slots[0][1] == MINUS:
             continue  # covered by its adjoint's mirror
-        mirrored = mirror and bool(slots)
         live = [(b.beta, b.diag_args) for b in propagate(s, circuit)]
         live = [(beta, args) for beta, args in live if beta != 0]
         if not live:
@@ -381,11 +385,13 @@ def build_table(circuit: Circuit, cutoff: int, mirror: bool = True) -> HWCoeffic
                     for q in subset:
                         value *= args[q]
                     total += value
+                if total == 0:
+                    continue
                 ket, bra = sorted(plus + list(subset)), sorted(minus + list(subset))
                 kets.append(ket)
                 bras.append(bra)
                 vals.append(total)
-                if mirrored:
+                if slots:
                     kets.append(bra)
                     bras.append(ket)
                     # 0.0 + turns the -0.0j conjugate of a real total into +0.0j

@@ -60,6 +60,25 @@ def test_parse_rejects_malformed_input(text, fragment):
         parse_circuit(text)
 
 
+@pytest.mark.parametrize(
+    "text,location",
+    [
+        ("iqp n=2 d=1 p=0.5\nlayer 0\ncphase e 1 0.5\n", "line 3, column 8"),
+        ("iqp n=2 d=1 p=0.5\nlayer 0\nrz 0 p\n", "line 3, column 6"),
+        ("iqp n=2 d=1 p=0.5\nlayer 0\ncphase 1 a1 a\n", "line 3, column 10"),
+        ("iqp n=2 d=1 p=0.5\nlayer 0\n  rz 0 x # x\n", "line 3, column 8"),
+        ("iqp n=2 d=1 p=0.5\nlayer x\n", "line 2, column 7"),
+        ("iqp n=x d=1 p=0.5\n", "line 1, column 5"),
+        ("iqp n=2 d=1 p=z\n", "line 1, column 13"),
+        ("iqp n=2 d=1 p\n", "line 1, column 13"),
+        ("  iqp n=2 d=1\n", "line 1, column 3"),
+    ],
+)
+def test_parse_errors_point_at_the_offending_token(text, location):
+    with pytest.raises(CircuitFormatError, match=f"^{location}: "):
+        parse_circuit(text)
+
+
 def test_validate_flags_layer_collision():
     c = Circuit(2, 1, 0.5, ((Gate(RZ, (0,), 0.1), Gate(CPHASE, (0, 1), 0.2)),))
     msgs = validate(c)

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,10 +132,9 @@ def test_sample_zero_draws(tmp_path):
     assert out.read_text() == ""
 
 
-def test_sample_rejects_negative_count():
-    with pytest.raises(SystemExit) as exc:
-        run(["sample", "--random", "3,4,0.2", "--k", "1", "--samples", "-1"])
-    assert exc.value.code == 2
+def test_sample_rejects_negative_count(capsys):
+    assert run(["sample", "--random", "3,4,0.2", "--k", "1", "--samples", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --samples must be >= 0, got -1\n"
 
 
 def test_bounds_csv_matches_functions(tmp_path):
@@ -164,9 +166,7 @@ def test_bounds_default_kmax(capsys):
 def test_negative_kmax_exits_two(capsys):
     for argv in (["bounds", "--random", "3,5,0.3", "--kmax", "-1"],
                  ["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "-1"]):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+        assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--kmax must be >= 0, got -1" in captured.err
 
@@ -181,9 +181,7 @@ def test_reproduce_fig2_checks_the_circuit_before_any_worker(monkeypatch, capsys
                            (["--p", "nan"], "p must lie in (0,1], got nan"),
                            (["--d", "0"], "d must be >= 1, got 0"),
                            (["--n", "0"], "n must be >= 1, got 0")):
-        with pytest.raises(SystemExit) as exc:
-            run(["reproduce-fig2", "--instances", "1", "--kmax", "1", *flags])
-        assert exc.value.code == 2
+        assert run(["reproduce-fig2", "--instances", "1", "--kmax", "1", *flags]) == 2
         err = capsys.readouterr().err
         assert message in err and "Warning" not in err
 
@@ -205,9 +203,7 @@ def test_validate_dense_check(tmp_path, capsys):
     good.write_text(VALID)
     assert run(["validate", "--circuit", str(good), "--dense-check"]) == 0
     assert "dense check" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        run(["validate", "--random", "9,3,0.2", "--dense-check"])
-    assert exc.value.code == 2
+    assert run(["validate", "--random", "9,3,0.2", "--dense-check"]) == 2
 
 
 def test_validate_takes_no_output_options(tmp_path, capsys):
@@ -270,15 +266,74 @@ def test_oversized_request_refused_up_front(capsys):
 
 
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        run(["simulate", "--random", "3,4", "--k", "1"])  # missing p field
-    assert exc.value.code == 2
+    assert run(["simulate", "--random", "3,4", "--k", "1"]) == 2  # missing p field
+    # argparse's own syntax errors print usage and raise SystemExit(2)
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--random", "3,4,0.2", "--k", "1", "--epsilon", "0.1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--k", "1"])  # no circuit source
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--random", "3,4", "--k", "1"], "--random expects n,d,p[,l], got '3,4'"),
+    (["validate", "--random", "3,x,0.2"],
+     "--random expects n,d,p[,l] with integer n,d,l and float p, got '3,x,0.2'"),
+    (["bounds", "--circuit", "missing.txt"],
+     "cannot read circuit file: [Errno 2] No such file or directory: 'missing.txt'"),
+    (["sample", "--random", "0,4,0.2", "--k", "1", "--samples", "1"],
+     "random_circuit needs n >= 1, got 0"),
+    (["sample", "--random", "3,4,0.2", "--k", "1", "--samples", "-1"],
+     "--samples must be >= 0, got -1"),
+    (["bounds", "--random", "3,5,0.3", "--kmax", "-1"], "--kmax must be >= 0, got -1"),
+    (["validate", "--random", "9,3,0.2", "--dense-check"], "--dense-check needs n <= 8, got n=9"),
+    (["reproduce-fig2", "--instances", "0"], "--instances must be >= 1, got 0"),
+    (["reproduce-fig2", "--kmax", "-1"], "--kmax must be >= 0, got -1"),
+    (["reproduce-fig2", "--d", "0", "--p", "2"],
+     "d must be >= 1, got 0; p must lie in (0,1], got 2.0"),
+    (["reproduce-fig2", "--n", "15"], f"dense sweep needs n <= {cli.DENSE_N_CAP}, got n=15"),
+])
+def test_every_refusal_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_refusal_on_the_command_line_is_one_error_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "iqpdamp.cli", "sample", "--random", "3,4,0.2",
+                           "--k", "1", "--samples", "-1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --samples must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("out", ["missing-dir/out.txt", ""])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--random", "3,20,0.5", "--k", "1"],
+    ["sample", "--random", "3,20,0.5", "--k", "1", "--samples", "5"],
+    ["bounds", "--random", "3,20,0.5"],
+    ["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "1"],
+])
+def test_unwritable_output_is_refused_before_any_work(argv, out, tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("work started before the output was opened")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IQPDAMP_THREADS", "1")
+    monkeypatch.setattr(cli, "build_table_auto", no_work)
+    monkeypatch.setattr(cli, "_fig2_instance", no_work)
+    assert run([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write output file: "
+                            f"[Errno 2] No such file or directory: {out!r}\n")
 
 
 def test_reproduce_fig2_small_sweep(tmp_path, capsys, monkeypatch):

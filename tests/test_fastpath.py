@@ -29,6 +29,16 @@ def test_matches_general_path_on_grid():
                     assert tables_agree(fast, slow[k]), (n, d, p, k)
 
 
+def test_both_builders_leave_out_exactly_zero_entries():
+    # at p = 1 every weight-2 diagonal is exactly 0, and neither table holds one
+    for seed in range(3):
+        c = random_circuit(4, 3, 1.0, seed=seed)
+        for k in (0, 1, 2):
+            slow, fast = build_table(c, k), g2_low_weight_table(c, k)
+            assert set(slow.data) == set(fast.data) == {(0, 0)}
+            assert tables_agree(slow, fast)
+
+
 def test_idle_closed_forms():
     n, d, p = 5, 8, 0.3
     shrink = (1 - p) ** d

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,9 @@ def test_outside_keys_are_checked_where_they_enter():
         t.data = {(7, 7): 2.0}
     with pytest.raises(ValueError, match=r"masks must lie in \[0, 2\^3\), got 16"):
         QuasiDistribution(3, {16: 0.5})
+    for key in (5, (1, 2, 3), "ab"):
+        with pytest.raises(ValueError, match=re.escape(f"(ket, bra) pairs of masks, got {key!r}")):
+            t.data = {key: 1.0}
     for value in (complex("nan"), complex(0.0, math.inf), -math.inf):
         with pytest.raises(ValueError, match=r"entry \(0, 0\) has a non-finite value"):
             t.data = {(1, 1): 1.0, (0, 0): value}
@@ -182,13 +186,16 @@ def test_mirrored_table_is_exactly_hermitian():
         assert t.hermiticity_defect() == 0.0
 
 
-def test_mirror_flag_changes_nothing_numerically():
-    c = random_circuit(4, 6, 0.25, seed=7)
-    a = build_table(c, 4, mirror=True)
-    b = build_table(c, 4, mirror=False)
-    assert set(a.data) == set(b.data)
-    for key, v in a.data.items():
-        assert v == pytest.approx(b.data[key], abs=1e-13)
+def test_truncated_3local_table_matches_dense_entry_by_entry():
+    # below full weight, mirrored entries included: every index of weight <= 4
+    for n, seed in ((5, 4), (6, 7)):
+        c = random_circuit(n, 5, 0.3, locality=3, seed=seed)
+        t = build_table(c, 4)
+        pop = np.bitwise_count(np.arange(1 << n))
+        within = (pop[:, None] + pop[None, :]) <= 4
+        assert len(t) == np.count_nonzero(within)
+        rho = evolve_dense(c).rho
+        assert np.abs(t.to_dense() - np.where(within, rho, 0.0)).max() <= 1e-12
 
 
 def test_entries_respect_decay_bound():
