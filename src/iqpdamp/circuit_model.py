@@ -171,6 +171,8 @@ def parse_circuit(text: str) -> Circuit:
                 if "=" not in tok:
                     raise fail(f"malformed header field {tok!r}", i)
                 key, _, val = tok.partition("=")
+                if key in fields or key not in ("n", "d", "p"):
+                    raise fail(f"{'repeated' if key in fields else 'unknown'} header field {key!r}", i)
                 fields[key] = (val, i)
             for key in ("n", "d", "p"):
                 if key not in fields:

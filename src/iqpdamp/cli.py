@@ -85,6 +85,8 @@ def _load_circuit(args) -> Circuit:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read circuit file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read circuit file: {args.circuit}: {exc}") from None
         return parse_circuit(text)
     n, d, p, loc = _parse_random_spec(args.random)
     return random_circuit(n, d, p, locality=loc, seed=args.seed)
@@ -145,10 +147,7 @@ def cmd_simulate(args) -> int:
         if args.format is None:
             out.writelines(table.serialize())
         else:
-            n = table.n
-            _write_records(out, args.format, ("ket", "bra", "re", "im"),
-                           ((format(ket, f"0{n}b"), format(bra, f"0{n}b"), v.real, v.imag)
-                            for (ket, bra), v in table.sorted_items()))
+            _write_records(out, args.format, ("ket", "bra", "re", "im"), table.text_rows())
     report_fh = sys.stderr if args.out is None else sys.stdout
     for line in report:
         print(line, file=report_fh)
@@ -381,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand takes --seed; numpy would refuse it mid-run
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CertificationError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ two-local propagation:
     the single-qubit rotation phases, whose Rz angles are summed per qubit
     (theta_rz).
   * Flipping every sigma sign conjugates everything, so only the (+,+) and
-    (+,-) sign patterns are computed; the rest are mirrored.
+    (+,-) sign patterns are computed; `hw_basis.mirrored_columns` adds the rest.
 The coefficient blocks become the table's position columns in numpy alone.
 """
 
@@ -38,7 +38,7 @@ from collections import defaultdict
 import numpy as np
 
 from .circuit_model import CPHASE, RZ, Circuit
-from .hw_basis import POSITION, HWCoefficientTable, build_table, row_width
+from .hw_basis import POSITION, HWCoefficientTable, build_table, mirrored_columns, row_width
 
 
 def fast_applicable(circuit: Circuit, cutoff: int) -> bool:
@@ -66,9 +66,8 @@ def _g2_components(circuit: Circuit, cutoff: int):
     n, d, p = circuit.n, circuit.d, circuit.p
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0,1], got {p}")
-    for _, gate in circuit.gates():
-        if gate.locality > 2:
-            raise ValueError("fast path requires 1- and 2-local gates only")
+    if not fast_applicable(circuit, cutoff):
+        raise ValueError("fast path requires 1- and 2-local gates only")
 
     theta_rz = np.zeros(n)
     pair_gates: dict[tuple[int, int], list[tuple[int, float]]] = defaultdict(list)
@@ -179,11 +178,11 @@ def _g2_components(circuit: Circuit, cutoff: int):
 def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
     """Columnar (kets, bras, values) form of the table, cheap to build at n ~ 10^3.
 
-    Lists every nonzero entry once, each off-diagonal one followed by its
-    Hermitian mirror: the weight-0 entry, the weight-2 diagonal, then the
-    weight-1 entries per qubit and the weight-2 entries per qubit pair, in
-    ascending order. kets and bras are rows of ascending qubit positions padded
-    with n (`hw_basis.row_width` wide); values is a complex array aligned with them.
+    Each block passes one entry per Hermitian pair to `hw_basis.mirrored_columns`:
+    the weight-0 entry and the weight-2 diagonals, then the weight-1 entries per
+    qubit and the (+,+) and (+,-) weight-2 entries per qubit pair, in ascending
+    order. kets and bras are rows of ascending qubit positions padded with n
+    (`hw_basis.row_width` wide); values is a complex array aligned with them.
     """
     a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = _g2_components(circuit, cutoff)
     n = circuit.n
@@ -195,23 +194,14 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
             out[:, j] = column
         return out
 
-    def interleaved(*candidates):
-        # each item's candidate (kets, bras, values) entries in turn, zero values dropped
-        kets, bras, values = (np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
-                              for parts in zip(*candidates))
-        keep = values != 0
-        return kets[keep], bras[keep], values[keep]
-
-    one, none = rows(n, np.arange(n)), rows(n)
-    blocks = [(rows(1), rows(1), np.array([a00], dtype=complex)),
-              interleaved((one, one, np.full(n, diag_val, dtype=complex)))]
+    diagonal = rows(n + 1, [n, *range(n)])  # the weight-0 row, then the row of each qubit
+    blocks = [mirrored_columns(diagonal, diagonal, np.array([a00] + [diag_val] * n, dtype=complex))]
     if alpha_plus is not None:
-        blocks.append(interleaved((one, none, alpha_plus), (none, one, alpha_plus.conj())))
+        blocks.append(mirrored_columns(diagonal[1:], rows(n), alpha_plus))
     if alpha_pp is not None and len(i1):  # n = 1 has no pairs, and rows one position wide
-        both, none = rows(len(i1), i1, i2), rows(len(i1))
-        first, second = rows(len(i1), i1), rows(len(i1), i2)
-        blocks.append(interleaved((both, none, alpha_pp), (none, both, alpha_pp.conj()),
-                                  (first, second, alpha_pm), (second, first, alpha_pm.conj())))
+        kets, bras = rows(2 * len(i1), np.repeat(i1, 2)), rows(2 * len(i1))
+        kets[::2, 1], bras[1::2, 0] = i2, i2  # (+,+) (i1 i2, -) and (+,-) (i1, i2) alternate
+        blocks.append(mirrored_columns(kets, bras, np.column_stack((alpha_pp, alpha_pm)).ravel()))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 

@@ -10,7 +10,8 @@ strings, each weight-(<=k) index being supported by exactly one initial string.
 A table is three aligned columns in entry order: ket and bra qubit positions
 (ascending, padded with the sentinel n to min(k, n)) and complex values, so no
 int mask is ever hashed. Callers read it through `MaskView`, a read-only
-mapping keyed by (ket, bra) pairs of int masks.
+mapping keyed by (ket, bra) pairs of int masks. Every builder computes one
+entry per Hermitian pair, and `mirrored_columns` alone turns those into a table.
 """
 
 from __future__ import annotations
@@ -106,6 +107,26 @@ def _masks(rows: np.ndarray, n: int) -> list[int]:
     for column in rows.T.tolist():
         masks = [m | b for m, b in zip(masks, map(bit.__getitem__, column))]
     return masks
+
+
+def mirrored_columns(kets: np.ndarray, bras: np.ndarray, vals: np.ndarray) -> tuple:
+    """Table columns from one entry per Hermitian pair, given in the caller's order.
+
+    Drops every entry whose value is exactly 0 and puts each off-diagonal entry's
+    mirror (bra, ket, 0.0 + conj(v)) right after it; the 0.0 + makes it +0.0j for a real v.
+    """
+    nonzero = np.flatnonzero(vals != 0)  # gathers by index: far faster than by mask on rows
+    kets, bras, vals = (column.take(nonzero, axis=0) for column in (kets, bras, vals))
+    is_off = (kets != bras).any(axis=1)
+    at = np.arange(len(vals)) + np.cumsum(is_off) - is_off  # a mirror takes the next slot
+    off = np.flatnonzero(is_off)
+    columns = []  # each allocated once at its final size
+    for own, mirror in ((kets, bras.take(off, axis=0)), (bras, kets.take(off, axis=0)),
+                        (vals, 0.0 + vals.take(off).conj())):
+        out = np.empty((len(vals) + len(off), *own.shape[1:]), dtype=own.dtype)
+        out[at], out[at[off] + 1] = own, mirror
+        columns.append(out)
+    return tuple(columns)
 
 
 def void_rows(rows: np.ndarray) -> np.ndarray:
@@ -282,15 +303,15 @@ class HWCoefficientTable:
         order = np.lexsort((*keys, np.count_nonzero(keys, axis=0)))  # last key, weight, first
         return data.iter_items(order)
 
-    def serialize(self):
-        """The table document, one `<ket-bits> <bra-bits> <re> <im>` line at a time.
+    def text_rows(self):
+        """(ket bits, bra bits, re, im) per entry in (weight, ket, bra) order, one at a time."""
+        return ((f"{ket:0{self.n}b}", f"{bra:0{self.n}b}", v.real, v.imag)
+                for (ket, bra), v in self.sorted_items())
 
-        Lines come in (weight, ket, bra) order; "".join of them is the whole text.
-        """
-        width = self.n
-        for (ket, bra), v in self.sorted_items():
-            yield (f"{ket:0{width}b} {bra:0{width}b} "
-                   f"{format(v.real, FLOAT_FMT)} {format(v.imag, FLOAT_FMT)}\n")
+    def serialize(self):
+        """The table document, streamed as `<ket-bits> <bra-bits> <re> <im>` lines, one per row."""
+        return (f"{ket} {bra} {format(re, FLOAT_FMT)} {format(im, FLOAT_FMT)}\n"
+                for ket, bra, re, im in self.text_rows())
 
     def trace(self) -> complex:
         data = self._data
@@ -355,13 +376,10 @@ def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     (1,1) positions, of the final argument a_t; all other indices get 0 from
     it. Every branch of a string hits the same indices and each index of
     weight <= cutoff comes from exactly one initial string, so each entry is
-    the sum over that string's branches, in branch order, appended once.
+    the sum over that string's branches, in branch order.
 
-    Only one string of each Hermitian-conjugate pair is propagated; the
-    partner's entries are the mirrored conjugates, appended right after, which
-    makes the table exactly Hermitian. An entry whose sum is exactly 0 is left
-    out with its mirror, as in the fast path, so a table holds the nonzero
-    coefficients of weight <= cutoff.
+    Only one string of each Hermitian-conjugate pair is propagated, and its
+    entries go to `mirrored_columns`, which completes the table.
     """
     n = circuit.n
     kets, bras, vals = [], [], []  # position lists and values, in entry order
@@ -369,10 +387,7 @@ def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
         slots = s.offdiag_slots()
         if slots and slots[0][1] == MINUS:
             continue  # covered by its adjoint's mirror
-        live = [(b.beta, b.diag_args) for b in propagate(s, circuit)]
-        live = [(beta, args) for beta, args in live if beta != 0]
-        if not live:
-            continue
+        live = [(b.beta, b.diag_args) for b in propagate(s, circuit) if b.beta != 0]
         plus = [q for q, kind in slots if kind == PLUS]
         minus = [q for q, kind in slots if kind == MINUS]
         diag = [q for q, kind in enumerate(s.kinds) if kind == DIAG]
@@ -385,17 +400,9 @@ def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
                     for q in subset:
                         value *= args[q]
                     total += value
-                if total == 0:
-                    continue
-                ket, bra = sorted(plus + list(subset)), sorted(minus + list(subset))
-                kets.append(ket)
-                bras.append(bra)
+                kets.append(sorted(plus + list(subset)))
+                bras.append(sorted(minus + list(subset)))
                 vals.append(total)
-                if slots:
-                    kets.append(bra)
-                    bras.append(ket)
-                    # 0.0 + turns the -0.0j conjugate of a real total into +0.0j
-                    vals.append(0.0 + total.conjugate())
     width = row_width(n, cutoff)
-    return HWCoefficientTable(n, cutoff, (_padded_rows(kets, n, width), _padded_rows(bras, n, width),
-                                          np.array(vals, dtype=complex)))
+    return HWCoefficientTable(n, cutoff, mirrored_columns(
+        _padded_rows(kets, n, width), _padded_rows(bras, n, width), np.array(vals, dtype=complex)))

@@ -79,6 +79,21 @@ def test_parse_errors_point_at_the_offending_token(text, location):
         parse_circuit(text)
 
 
+@pytest.mark.parametrize(
+    "header,location,message",
+    [
+        ("iqp n=2 n=3 d=1 p=0.5", "line 1, column 9", "repeated header field 'n'"),
+        ("iqp n=2 d=1 p=0.5 foo=bar", "line 1, column 19", "unknown header field 'foo'"),
+        ("iqp n=2 d=1 p=0.5 p=0.5", "line 1, column 19", "repeated header field 'p'"),
+        ("iqp n=2 =1 d=1 p=0.5", "line 1, column 9", "unknown header field ''"),
+    ],
+)
+def test_header_fields_are_known_and_given_once(header, location, message):
+    with pytest.raises(CircuitFormatError) as exc:
+        parse_circuit(header + "\nlayer 0\n")
+    assert str(exc.value) == f"{location}: {message}"
+
+
 def test_validate_flags_layer_collision():
     c = Circuit(2, 1, 0.5, ((Gate(RZ, (0,), 0.1), Gate(CPHASE, (0, 1), 0.2)),))
     msgs = validate(c)

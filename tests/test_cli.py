@@ -198,6 +198,18 @@ def test_validate_ok_and_invalid(tmp_path, capsys):
     assert "invalid:" in capsys.readouterr().err
 
 
+def test_validate_refuses_repeated_and_unknown_header_fields(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("iqp n=2 n=3 d=1 p=0.5 foo=bar\nlayer 0\n")
+    assert run(["validate", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: line 1, column 9: repeated header field 'n'\n"
+    path.write_text("iqp n=2 d=1 p=0.5 foo=bar\nlayer 0\n")
+    assert run(["validate", "--circuit", str(path)]) == 2
+    assert capsys.readouterr().err == "invalid: line 1, column 19: unknown header field 'foo'\n"
+
+
 def test_validate_dense_check(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text(VALID)
@@ -293,9 +305,12 @@ def test_usage_errors_exit_two():
     (["reproduce-fig2", "--d", "0", "--p", "2"],
      "d must be >= 1, got 0; p must lie in (0,1], got 2.0"),
     (["reproduce-fig2", "--n", "15"], f"dense sweep needs n <= {cli.DENSE_N_CAP}, got n=15"),
+    (["validate", "--circuit", "latin1.txt"], "cannot read circuit file: latin1.txt: 'utf-8' "
+     "codec can't decode byte 0xff in position 16: invalid start byte"),
 ])
 def test_every_refusal_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"iqp n=2 d=1 p=0.\xff5\nlayer 0\n")
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -334,6 +349,30 @@ def test_unwritable_output_is_refused_before_any_work(argv, out, tmp_path, monke
     assert captured.out == ""
     assert captured.err == ("error: cannot write output file: "
                             f"[Errno 2] No such file or directory: {out!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "1"],
+    ["sample", "--k", "1", "--samples", "5"],
+    ["bounds"],
+    ["validate"],
+])
+def test_negative_seed_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("work started before the seed was checked")
+
+    path = tmp_path / "c.txt"
+    path.write_text(VALID)
+    monkeypatch.setattr(cli, "build_table_auto", no_work)
+    monkeypatch.setattr(cli, "_load_circuit", no_work)
+    monkeypatch.setattr(cli, "_fig2_instance", no_work)
+    for source in (["--circuit", str(path)], ["--random", "3,4,0.2"]):
+        assert run([*argv, *source, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert run(["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -2\n"
 
 
 def test_reproduce_fig2_small_sweep(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from iqpdamp import hw_basis
 from iqpdamp.bounds import coefficient_bound, table_size_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
 from iqpdamp.dense_oracle import evolve_dense
-from iqpdamp.fastpath import build_table_auto
+from iqpdamp.fastpath import build_table_auto, fast_applicable, g2_low_weight_table
 from iqpdamp.frame_engine import propagate
 from iqpdamp.hw_basis import (
     HWCoefficientTable,
@@ -184,6 +184,39 @@ def test_mirrored_table_is_exactly_hermitian():
         c = random_circuit(4, 5, 0.3, locality=3 if seed % 2 else 2, seed=seed)
         t = build_table(c, 4)
         assert t.hermiticity_defect() == 0.0
+
+
+def test_mirrored_columns_drops_zeros_and_puts_each_mirror_next():
+    kets = np.array([[3, 3], [0, 3], [1, 3], [0, 1], [2, 3]], dtype=hw_basis.POSITION)
+    bras = np.array([[3, 3], [3, 3], [1, 3], [2, 3], [3, 3]], dtype=hw_basis.POSITION)
+    vals = np.array([0.5, 0.25, 0.0, 1.0 - 2.0j, 0.0])
+    got_kets, got_bras, got_vals = hw_basis.mirrored_columns(kets, bras, vals)
+    assert got_kets.tolist() == [[3, 3], [0, 3], [3, 3], [0, 1], [2, 3]]
+    assert got_bras.tolist() == [[3, 3], [3, 3], [0, 3], [2, 3], [0, 1]]
+    # repr tells +0j from -0j: a real entry's mirror is +0.0j
+    assert repr(got_vals.tolist()) == repr([0.5 + 0j, 0.25 + 0j, 0.25 + 0j, 1 - 2j, 1 + 2j])
+    assert got_kets.dtype == got_bras.dtype == hw_basis.POSITION
+
+
+@pytest.mark.parametrize("circuit,k", [
+    (idle_circuit(5, 8, 0.3), 1),
+    (idle_circuit(5, 8, 0.3), 2),
+    (random_circuit(5, 6, 0.4, seed=3), 2),
+    (random_circuit(5, 5, 0.3, locality=3, seed=4), 4),
+])
+def test_every_builder_puts_each_mirror_right_after_its_entry(circuit, k):
+    builders = [build_table, g2_low_weight_table] if fast_applicable(circuit, k) else [build_table]
+    for build in builders:
+        entries = list(build(circuit, k).data.items())
+        assert all(v != 0 for _, v in entries)
+        at = 0
+        while at < len(entries):
+            (ket, bra), v = entries[at]
+            if ket != bra:
+                at += 1
+                assert entries[at][0] == (bra, ket)
+                assert repr(entries[at][1]) == repr(0.0 + v.conjugate())
+            at += 1
 
 
 def test_truncated_3local_table_matches_dense_entry_by_entry():

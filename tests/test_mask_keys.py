@@ -25,12 +25,12 @@ def reference_entries(circuit, k):
         ref.update({(b, b): complex(diag_val) for b in bit})
     for q, v in enumerate(alpha_plus.tolist()):
         if v != 0:
-            ref[(bit[q], 0)], ref[(0, bit[q])] = v, v.conjugate()
+            ref[(bit[q], 0)], ref[(0, bit[q])] = v, 0.0 + v.conjugate()
     for q1, q2, pp, pm in zip(i1.tolist(), i2.tolist(), alpha_pp.tolist(), alpha_pm.tolist()):
         if pp != 0:
-            ref[(bit[q1] | bit[q2], 0)], ref[(0, bit[q1] | bit[q2])] = pp, pp.conjugate()
+            ref[(bit[q1] | bit[q2], 0)], ref[(0, bit[q1] | bit[q2])] = pp, 0.0 + pp.conjugate()
         if pm != 0:
-            ref[(bit[q1], bit[q2])], ref[(bit[q2], bit[q1])] = pm, pm.conjugate()
+            ref[(bit[q1], bit[q2])], ref[(bit[q2], bit[q1])] = pm, 0.0 + pm.conjugate()
     return ref
 
 
