@@ -9,7 +9,6 @@ reference simulator (small n only).
 import numpy as np
 
 from iqpdamp import (
-    HWIndex,
     build_table_auto,
     depth_threshold,
     evolve_dense,
@@ -37,6 +36,5 @@ worst = max(abs(v - rho[ket, bra]) for (ket, bra), v in table.data.items())
 print(f"\nworst deviation from the dense reference: {worst:.3g}")
 
 print("\nlargest coefficients:")
-for (ket, bra), v in sorted(table.data.items(), key=lambda kv: -abs(kv[1]))[:5]:
-    ks, bs = HWIndex(n, ket, bra).bitstrings()
-    print(f"  |{ks}><{bs}|  {v.real:+.6f}{v.imag:+.6f}j")
+for ks, bs, re, im in sorted(table.text_rows(), key=lambda row: -abs(complex(*row[2:])))[:5]:
+    print(f"  |{ks}><{bs}|  {re:+.6f}{im:+.6f}j")

@@ -37,7 +37,6 @@ from .frame_engine import (
     DIAG,
     MINUS,
     PLUS,
-    BranchSet,
     FrameString,
     apply_damping_layer,
     apply_single_qubit_rotation,
@@ -57,7 +56,6 @@ from .hw_basis import (
 from .sampler import QuasiDistribution, fourier_table, induced_distribution, marginal, sample
 
 __all__ = [
-    "BranchSet",
     "CertificationError",
     "Circuit",
     "CircuitFormatError",

@@ -11,7 +11,7 @@ log space so they stay finite far beyond n ~ 500.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .circuit_model import FLOAT_FMT
 from .errors import CertificationError
@@ -197,28 +197,26 @@ def simplified_certificate(n: int, d: int, p: float, k: int) -> float:
 
 @dataclass
 class ErrorBudget:
-    """Everything certified for one (n, d, p, epsilon) instance."""
+    """The truncation bounds at one cutoff k, with the certificate that chose it.
 
-    epsilon: float        # target total-variation error
-    delta: float          # epsilon/(4+epsilon), the trace-distance budget
-    k: int                # chosen weight cutoff
-    lam: float            # d ln(1/(1-p)) / ln n
-    d_threshold: float    # minimum certifiable depth for (n, p)
-    hs_bound: float       # squared HS truncation error bound at k
-    trace_deficit: float  # bound on |Tr(rho - sigma)| at k
-    td_bound: float       # (sqrt(rank)+1) * eps' trace-distance bound at k
+    epsilon, delta, lam and d_threshold are None for an explicitly given k.
+    """
+
+    epsilon: float | None      # target total-variation error
+    delta: float | None        # epsilon/(4+epsilon), the trace-distance budget
+    k: int                     # weight cutoff
+    lam: float | None          # d ln(1/(1-p)) / ln n
+    d_threshold: float | None  # minimum certifiable depth for (n, p)
+    hs_bound: float            # squared HS truncation error bound at k
+    trace_deficit: float       # bound on |Tr(rho - sigma)| at k
+    td_bound: float            # (sqrt(rank)+1) * eps' trace-distance bound at k
 
     def report_lines(self) -> list[str]:
-        return [
-            f"epsilon={format(self.epsilon, FLOAT_FMT)}",
-            f"delta={format(self.delta, FLOAT_FMT)}",
-            f"k={self.k}",
-            f"lambda={format(self.lam, FLOAT_FMT)}",
-            f"depth_threshold={format(self.d_threshold, FLOAT_FMT)}",
-            f"hs_bound={format(self.hs_bound, FLOAT_FMT)}",
-            f"trace_deficit_bound={format(self.trace_deficit, FLOAT_FMT)}",
-            f"td_bound={format(self.td_bound, FLOAT_FMT)}",
-        ]
+        """One `name=value` line per field that is not None, in field order, at FLOAT_FMT."""
+        names = ("epsilon", "delta", "k", "lambda", "depth_threshold", "hs_bound",
+                 "trace_deficit_bound", "td_bound")
+        return [f"{name}={format(value, FLOAT_FMT)}"
+                for name, value in zip(names, astuple(self)) if value is not None]
 
 
 def select_k(n: int, d: int, p: float, epsilon: float) -> ErrorBudget:

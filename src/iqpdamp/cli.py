@@ -27,6 +27,7 @@ from collections import Counter
 import numpy as np
 
 from .bounds import (
+    ErrorBudget,
     chernoff_min_keep,
     hs_truncation_bound,
     select_k,
@@ -59,6 +60,15 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # magnitude equals hs_truncation_bound exactly, and rounding puts the measured
 # value a few ulps above it.
 HS_CHECK_RTOL = 1e-12
+
+# Largest --kmax that bounds and reproduce-fig2 accept. Every row past k = 2n
+# is zero, and 10^4 rows cover every nonzero one up to n = 5000.
+_MAX_KMAX = 10 ** 4
+
+# Largest n that reproduce-fig2 accepts. Each sweep thread holds about 57 * 4^n
+# bytes at once: rho (16), the weight matrix (8), the mask (1), the masked copy
+# (16) and LAPACK's copy of it (16). That is 0.96 GB at n = 12, 3.8 GB at n = 13.
+_FIG2_N_CAP = 12
 
 
 def _fmt(x: float) -> str:
@@ -115,6 +125,15 @@ def _write_records(out, fmt: str | None, columns: tuple[str, ...], rows) -> None
         out.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def _checked_kmax(kmax: int) -> int:
+    if kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {kmax}")
+    if kmax > _MAX_KMAX:
+        raise ValueError(f"--kmax must be <= {_MAX_KMAX}, got {kmax}; "
+                         f"every row past k = 2n is zero")
+    return kmax
+
+
 def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     """Resolve the cutoff and the budget-report lines from --epsilon or --k.
 
@@ -122,21 +141,19 @@ def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     """
     if args.epsilon is not None:
         budget = select_k(circuit.n, circuit.d, circuit.p, args.epsilon)
-        k, report = budget.k, budget.report_lines()
     else:
         if args.k < 0:
             raise ValueError(f"--k must be >= 0, got {args.k}")
-        k = args.k
-        hs, deficit, td = truncation_bounds(circuit.n, circuit.d, circuit.p, k)
-        report = [f"k={k}", f"hs_bound={_fmt(hs)}", f"trace_deficit_bound={_fmt(deficit)}",
-                  f"td_bound={_fmt(td)}"]
+        budget = ErrorBudget(None, None, args.k, None, None,
+                             *truncation_bounds(circuit.n, circuit.d, circuit.p, args.k))
+    k = budget.k
     size = table_size_bound(circuit.n, k)
     if size > MAX_TABLE_ENTRIES:
         from decimal import Decimal  # formats sizes past the float range
 
         raise ValueError(f"cutoff k={k} at n={circuit.n} allows up to {Decimal(size):.3g} table "
                          f"entries, above the limit of {MAX_TABLE_ENTRIES:.3g}")
-    return k, report
+    return k, budget.report_lines()
 
 
 def cmd_simulate(args) -> int:
@@ -177,10 +194,8 @@ def cmd_sample(args) -> int:
 def cmd_bounds(args) -> int:
     circuit = _load_circuit(args)
     n, d, p = circuit.n, circuit.d, circuit.p
-    if args.kmax is not None and args.kmax < 0:
-        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
-    kmax = args.kmax if args.kmax is not None else min(2 * n, 12)
-    rows = [(k, *truncation_bounds(n, d, p, k)) for k in range(kmax + 1)]
+    kmax = min(2 * n, 12) if args.kmax is None else _checked_kmax(args.kmax)
+    rows = ((k, *truncation_bounds(n, d, p, k)) for k in range(kmax + 1))
     with _output(args.out) as out:
         _write_records(out, args.format, ("k", "hs_bound", "trace_bound", "td_bound"), rows)
     return 0
@@ -191,11 +206,6 @@ def cmd_validate(args) -> int:
         circuit = _load_circuit(args)
     except CircuitFormatError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
-        return 2
-    problems = validate(circuit)
-    if problems:
-        for msg in problems:
-            print(f"invalid: {msg}", file=sys.stderr)
         return 2
     if args.dense_check:
         if circuit.n > min(8, DENSE_N_CAP):
@@ -252,18 +262,16 @@ def _worker_count(instances: int) -> int:
 
 def cmd_reproduce_fig2(args) -> int:
     n, d, p = args.n, args.d, args.p
-    kmax = args.kmax
     instances = args.instances
     if instances < 1:
         raise ValueError(f"--instances must be >= 1, got {instances}")
-    if kmax < 0:
-        raise ValueError(f"--kmax must be >= 0, got {kmax}")
+    kmax = _checked_kmax(args.kmax)
     idle = idle_circuit(n, d, p)  # the sweep's idle reference instance
     problems = validate(idle)
     if problems:
         raise ValueError("; ".join(problems))
-    if n > DENSE_N_CAP:
-        raise ValueError(f"dense sweep needs n <= {DENSE_N_CAP}, got n={n}")
+    if n > _FIG2_N_CAP:
+        raise ValueError(f"dense sweep needs n <= {_FIG2_N_CAP}, got n={n}")
     seeds = np.random.SeedSequence(args.seed).generate_state(instances, dtype=np.uint64)
     circuits = [random_circuit(n, d, p, locality=2, seed=int(s)) for s in seeds] + [idle]
     workers = _worker_count(len(circuits))

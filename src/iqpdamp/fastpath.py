@@ -96,24 +96,18 @@ def _g2_components(circuit: Circuit, cutoff: int):
 
     # per-pair cumulative kick angles S and single-kick deviations g = lnW - lnW_bg
     pairs = sorted(pair_gates)
-    n_pairs = len(pairs)
     pwv = (1.0 - p) ** np.arange(d)
-    if n_pairs:
-        pair_row = {pr: i for i, pr in enumerate(pairs)}
-        inc = np.zeros((n_pairs, d))
-        for i, pr in enumerate(pairs):
-            for li, theta in pair_gates[pr]:
-                inc[i, li] += theta
-        s_cum = np.cumsum(inc, axis=1)
-        em = np.exp(1j * s_cum)
-        g_arr = np.log(1.0 + p * (em @ pwv)) - log_wbg
-        total_theta = inc.sum(axis=1)
-        q1s = np.array([pr[0] for pr in pairs])
-        q2s = np.array([pr[1] for pr in pairs])
-    else:
-        g_arr = np.zeros(0, dtype=complex)
-        total_theta = np.zeros(0)
-        q1s = q2s = np.zeros(0, dtype=int)
+    pair_row = {pr: i for i, pr in enumerate(pairs)}
+    inc = np.zeros((len(pairs), d))
+    for i, pr in enumerate(pairs):
+        for li, theta in pair_gates[pr]:
+            inc[i, li] += theta
+    s_cum = np.cumsum(inc, axis=1)
+    em = np.exp(1j * s_cum)
+    g_arr = np.log(1.0 + p * (em @ pwv)) - log_wbg
+    total_theta = inc.sum(axis=1)
+    q1s = np.array([pr[0] for pr in pairs], dtype=int)
+    q2s = np.array([pr[1] for pr in pairs], dtype=int)
 
     g_sum = np.zeros(n, dtype=complex)  # G(q, +) = sum of deviations over q's partners
     np.add.at(g_sum, q1s, g_arr)
@@ -128,11 +122,10 @@ def _g2_components(circuit: Circuit, cutoff: int):
     corr_pp = np.zeros(n * n, dtype=complex)
     corr_pm = np.zeros(n * n, dtype=complex)
 
-    if n_pairs:
-        # direct pairs: drop both spurious inclusion terms, add the equal-sign phase
-        pid_direct = q1s * n + q2s
-        corr_pp[pid_direct] = -2.0 * g_arr + 1j * total_theta
-        corr_pm[pid_direct] = -2.0 * g_arr.real
+    # direct pairs: drop both spurious inclusion terms, add the equal-sign phase
+    pid_direct = q1s * n + q2s
+    corr_pp[pid_direct] = -2.0 * g_arr + 1j * total_theta
+    corr_pm[pid_direct] = -2.0 * g_arr.real
 
     # shared partners: the joint trajectory's S row is the signed sum of the
     # two pair rows, so the correction needs only gathered em products

@@ -81,12 +81,6 @@ class FrameString(NamedTuple):
         return self.beta * out
 
 
-# A BranchSet is a list of FrameStrings with the branch weights already folded
-# into each string's beta; the factor relative to the parent is recoverable as
-# exp(child.log_beta - parent.log_beta).
-BranchSet = list
-
-
 def initial_strings(n: int, max_offdiag: int) -> Iterator[FrameString]:
     """All strings in the expansion of |+><+|^n with at most max_offdiag sigmas.
 
@@ -120,7 +114,7 @@ def apply_single_qubit_rotation(s: FrameString, qubit: int, theta: float) -> Fra
     return s._replace(log_beta=s.log_beta + complex(0.0, _rotation_phase(s, qubit, theta)))
 
 
-def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> BranchSet:
+def llocal_branch(s: FrameString, targets: tuple[int, ...], theta: float) -> list[FrameString]:
     """Conjugate by the l-local controlled phase C(theta) on `targets`.
 
     The gate multiplies a ket by e^{i theta} iff all target bits are 1, so its
@@ -202,7 +196,7 @@ def apply_damping_layer(s: FrameString, p: float) -> FrameString:
     return FrameString(n, kinds, out, log_beta)
 
 
-def _merge_equal(branches: BranchSet) -> BranchSet:
+def _merge_equal(branches: list[FrameString]) -> list[FrameString]:
     """Merge branches with equal diagonal arguments into one by summing their betas.
 
     The branches of one string share its kinds and the key order of
@@ -214,7 +208,7 @@ def _merge_equal(branches: BranchSet) -> BranchSet:
     groups: dict[tuple, list[FrameString]] = {}
     for b in branches:
         groups.setdefault(tuple(b.diag_args.values()), []).append(b)
-    out: BranchSet = []
+    out: list[FrameString] = []
     for group in groups.values():
         head = group[0]
         if len(group) > 1:
@@ -229,7 +223,7 @@ def _merge_equal(branches: BranchSet) -> BranchSet:
     return out
 
 
-def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
+def propagate(s: FrameString, circuit: Circuit) -> list[FrameString]:
     """Push one string through the whole circuit.
 
     Per layer, controlled-phase gates are applied (branching when l >= 3 covers
@@ -259,13 +253,13 @@ def propagate(s: FrameString, circuit: Circuit) -> BranchSet:
     if s.n != circuit.n:
         raise ValueError(f"string has n={s.n}, circuit has n={circuit.n}")
     phase = 0.0
-    work: BranchSet = [s]
+    work: list[FrameString] = [s]
     for layer in circuit.layers:
         for g in layer:
             if g.kind == RZ:
                 phase += _rotation_phase(s, g.targets[0], g.theta)
             elif g.kind == CPHASE:
-                nxt: BranchSet = []
+                nxt: list[FrameString] = []
                 for b in work:
                     nxt.extend(llocal_branch(b, g.targets, g.theta))
                 work = nxt if len(nxt) == len(work) else _merge_equal(nxt)

@@ -47,9 +47,6 @@ class HWIndex:
     def zero_blocks(self) -> int:
         return self.n - (self.ket | self.bra).bit_count()
 
-    def bitstrings(self) -> tuple[str, str]:
-        return format(self.ket, f"0{self.n}b"), format(self.bra, f"0{self.n}b")
-
 
 def zero_block_range(h: int, n: int) -> tuple[int, int]:
     """(max, min) possible zero-block counts among weight-h operators on n qubits."""
@@ -351,8 +348,8 @@ def parse_table(text: str) -> HWCoefficientTable:
         if not all(_DECIMAL.fullmatch(x) and math.isfinite(float(x)) for x in (re_s, im_s)):
             raise ValueError(f"line {lineno}: values must be finite decimal numbers, "
                              f"got {re_s!r} {im_s!r}")
-        kets.append([q for q, bit in enumerate(ket_s) if bit == "1"])
-        bras.append([q for q, bit in enumerate(bra_s) if bit == "1"])
+        kets.append(_mask_positions(int(ket_s, 2), n))
+        bras.append(_mask_positions(int(bra_s, 2), n))
         vals.append(complex(float(re_s), float(im_s)))
         origins.append((lineno, ket_s, bra_s))
     if n is None:

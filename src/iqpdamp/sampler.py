@@ -171,7 +171,7 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
         raise ValueError(f"count must be >= 0, got {count}")
     root = _mass(qd)
     rng = np.random.default_rng(seed)
-    cache: dict[str, float] = {"": root}
+    cache: dict[str, float] = {}
     out = []
     for _ in range(count):
         y, s_y = "", root
@@ -198,7 +198,7 @@ def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
     if qd.n > INDUCED_N_CAP:
         raise ValueError(f"induced_distribution capped at n <= {INDUCED_N_CAP}")
     root = _mass(qd)
-    cache: dict[str, float] = {"": root}
+    cache: dict[str, float] = {}
     out: dict[str, float] = {}
 
     def walk(prefix: str, prob: float, s_y: float) -> None:

@@ -327,3 +327,9 @@ def test_report_lines_shape():
     assert keys == ["epsilon", "delta", "k", "lambda", "depth_threshold",
                     "hs_bound", "trace_deficit_bound", "td_bound"]
     assert any(ln == "k=1" for ln in lines)
+    # an explicitly given k has no certificate: only k and the bounds are reported
+    bounds = (hs_truncation_bound(4, 30, 0.4, 3), trace_deficit_bound(4, 30, 0.4, 3),
+              td_truncation_bound(4, 30, 0.4, 3))
+    assert ErrorBudget(None, None, 3, None, None, *bounds).report_lines() == [
+        "k=3", *(f"{name}={x:.17g}" for name, x in
+                 zip(("hs_bound", "trace_deficit_bound", "td_bound"), bounds))]

@@ -53,6 +53,9 @@ def test_parse_accepts_comments_and_blank_lines():
         ("iqp n=2 d=2 p=0.5\nlayer 0\n", "layer"),
         ("iqp n=2 d=1 p=1.5\nlayer 0\n", "p"),
         ("iqp n=2 d=1 p=0.5\nlayer 0\nrz 0 nan\n", "finite"),
+        ("iqp n=2 d=1 p=0.5\nlayer 0 1\n", "line 2, column 1: layer line takes exactly one index"),
+        ("iqp n=2 d=1 p=0.5\nrz 0 0.1\n", "line 2, column 1: gate line before any 'layer' marker"),
+        ("# nothing but a comment\n\n", "empty document: missing 'iqp' header"),
     ],
 )
 def test_parse_rejects_malformed_input(text, fragment):
@@ -100,6 +103,18 @@ def test_validate_flags_layer_collision():
     assert any("qubit 0 used by two gates" in m for m in msgs)
 
 
+@pytest.mark.parametrize(
+    "gate,problem",
+    [
+        (Gate("h", (0,), 0.1), "layer 0: unknown gate kind 'h'"),
+        (Gate(RZ, (0, 1), 0.1), "layer 0: rz takes exactly 1 target, got 2"),
+        (Gate(CPHASE, (0,), 0.1), "layer 0: cphase takes >= 2 targets, got 1"),
+    ],
+)
+def test_validate_flags_gate_kind_and_target_count(gate, problem):
+    assert validate(Circuit(2, 1, 0.5, ((gate,),))) == [problem]
+
+
 def test_validate_flags_bad_probability():
     c = Circuit(2, 1, 0.0, ((),))
     assert any("(0, 1]" in m or "(0,1]" in m for m in validate(c))
@@ -107,6 +122,21 @@ def test_validate_flags_bad_probability():
 
 def test_validate_accepts_idle():
     assert validate(idle_circuit(3, 5, 0.2)) == []
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, 0, 0.5), "random_circuit needs d >= 1, got 0"),
+        ((2, 1, 0.0), "p must lie in (0,1], got 0.0"),
+        ((2, 1, 1.5), "p must lie in (0,1], got 1.5"),
+        ((2, 1, 0.5, 1), "locality must be >= 2, got 1"),
+    ],
+)
+def test_random_circuit_rejects_bad_parameters(args, message):
+    with pytest.raises(ValueError) as exc:
+        random_circuit(*args)
+    assert str(exc.value) == message
 
 
 def test_random_circuit_deterministic_in_seed():

@@ -163,6 +163,18 @@ def test_bounds_default_kmax(capsys):
     assert len(lines) == min(2 * 3, 12) + 2  # header + k = 0..6
 
 
+def test_bounds_kmax_limit(capsys):
+    assert run(["bounds", "--random", "4,3,0.5", "--kmax", str(cli._MAX_KMAX)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == cli._MAX_KMAX + 2
+    assert lines[-1] == f"{cli._MAX_KMAX},0,0,0"
+    assert run(["bounds", "--random", "4,3,0.5", "--kmax", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --kmax must be <= {cli._MAX_KMAX}, got 1000000; "
+                            "every row past k = 2n is zero\n")
+
+
 def test_negative_kmax_exits_two(capsys):
     for argv in (["bounds", "--random", "3,5,0.3", "--kmax", "-1"],
                  ["reproduce-fig2", "--n", "3", "--d", "2", "--instances", "1", "--kmax", "-1"]):
@@ -180,7 +192,11 @@ def test_reproduce_fig2_checks_the_circuit_before_any_worker(monkeypatch, capsys
     for flags, message in ((["--p", "1.5"], "p must lie in (0,1], got 1.5"),
                            (["--p", "nan"], "p must lie in (0,1], got nan"),
                            (["--d", "0"], "d must be >= 1, got 0"),
-                           (["--n", "0"], "n must be >= 1, got 0")):
+                           (["--n", "0"], "n must be >= 1, got 0"),
+                           (["--n", str(cli._FIG2_N_CAP + 1)],
+                            f"dense sweep needs n <= {cli._FIG2_N_CAP}, got n={cli._FIG2_N_CAP + 1}"),
+                           (["--kmax", str(cli._MAX_KMAX + 1)],
+                            f"--kmax must be <= {cli._MAX_KMAX}, got {cli._MAX_KMAX + 1}")):
         assert run(["reproduce-fig2", "--instances", "1", "--kmax", "1", *flags]) == 2
         err = capsys.readouterr().err
         assert message in err and "Warning" not in err
@@ -196,6 +212,17 @@ def test_validate_ok_and_invalid(tmp_path, capsys):
     bad.write_text("iqp n=2 d=1 p=0.5\nlayer 0\nrz 5 0.25\n")
     assert run(["validate", "--circuit", str(bad)]) == 2
     assert "invalid:" in capsys.readouterr().err
+
+
+def test_validate_reports_every_problem_on_one_invalid_line(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("iqp n=3 d=2 p=0.5\nlayer 0\nrz 0 1 0.5\ncphase 2 0.5\n")
+    assert run(["validate", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid: expected 2 layers, got 1; "
+                            "layer 0: rz takes exactly 1 target, got 2; "
+                            "layer 0: cphase takes >= 2 targets, got 1\n")
 
 
 def test_validate_refuses_repeated_and_unknown_header_fields(tmp_path, capsys):
@@ -304,7 +331,7 @@ def test_usage_errors_exit_two():
     (["reproduce-fig2", "--kmax", "-1"], "--kmax must be >= 0, got -1"),
     (["reproduce-fig2", "--d", "0", "--p", "2"],
      "d must be >= 1, got 0; p must lie in (0,1], got 2.0"),
-    (["reproduce-fig2", "--n", "15"], f"dense sweep needs n <= {cli.DENSE_N_CAP}, got n=15"),
+    (["reproduce-fig2", "--n", "15"], f"dense sweep needs n <= {cli._FIG2_N_CAP}, got n=15"),
     (["validate", "--circuit", "latin1.txt"], "cannot read circuit file: latin1.txt: 'utf-8' "
      "codec can't decode byte 0xff in position 16: invalid start byte"),
 ])

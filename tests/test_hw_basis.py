@@ -32,7 +32,6 @@ def test_hwindex_fields():
     idx = HWIndex(4, 0b1010, 0b0011)
     assert idx.weight == 4
     assert idx.zero_blocks == 1  # only qubit position 1 has both bits 0
-    assert idx.bitstrings() == ("1010", "0011")
 
 
 def test_zero_block_range_values():
