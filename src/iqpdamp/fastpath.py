@@ -3,8 +3,9 @@
 Propagating the full m <= 2 initial string set one string at a time costs
 O(n^2) strings times O(n d) work each, hopeless in interpreted code at
 n = 1000. This module reaches the same coefficients in vectorized
-O(n d + E d) time (E = number of gate events) by exploiting the structure of
-two-local propagation:
+O(n^2 + E d + sum_t deg_t^2 d) time (E = number of gate events, deg_t = number
+of gate partners of qubit t), the last term as two small BLAS products per
+qubit, by exploiting the structure of two-local propagation:
 
   * In a string with off-diagonal slots Q, a diagonal qubit's argument evolves
     independently of all others: per layer an optional phase kick e^{+/- i
@@ -20,11 +21,12 @@ two-local propagation:
     background argument a_bg = (1-p)^d / W_bg.
   * log beta of a string is then a background constant plus per-sigma-qubit
     deviation sums G(q, sign) = sum over q's gate partners of ln W - ln W_bg,
-    with sparse corrections when both sigma qubits touch the same partner
-    (their S rows simply add, signed), when they share direct gates (those
-    act on sigma x sigma: a phase for equal signs, nothing for mixed), plus
-    the single-qubit rotation phases, whose Rz angles are summed per qubit
-    (theta_rz).
+    with sparse corrections when both sigma qubits touch the same partner t
+    (their S rows simply add, signed, so the damping-weighted sums over l of
+    every pair of t's partners are entries of two Gram matrices of t's rows
+    exp(i S)), when they share direct gates (those act on sigma x sigma: a
+    phase for equal signs, nothing for mixed), plus the single-qubit rotation
+    phases, whose Rz angles are summed per qubit (theta_rz).
   * Flipping every sigma sign conjugates everything, so only the (+,+) and
     (+,-) sign patterns are computed; `hw_basis.mirrored_columns` adds the rest.
 The coefficient blocks become the table's position columns in numpy alone.
@@ -66,14 +68,14 @@ def _g2_components(circuit: Circuit, cutoff: int):
     n, d, p = circuit.n, circuit.d, circuit.p
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0,1], got {p}")
-    if not fast_applicable(circuit, cutoff):
-        raise ValueError("fast path requires 1- and 2-local gates only")
 
     theta_rz = np.zeros(n)
     pair_gates: dict[tuple[int, int], list[tuple[int, float]]] = defaultdict(list)
     partners: list[list[int]] = [[] for _ in range(n)]
     for li, layer in enumerate(circuit.layers):
         for gate in layer:
+            if gate.locality > 2:
+                raise ValueError("fast path requires 1- and 2-local gates only")
             if gate.kind == RZ:
                 theta_rz[gate.targets[0]] += gate.theta
             elif gate.kind == CPHASE:
@@ -128,8 +130,10 @@ def _g2_components(circuit: Circuit, cutoff: int):
     corr_pm[pid_direct] = -2.0 * g_arr.real
 
     # shared partners: the joint trajectory's S row is the signed sum of the
-    # two pair rows, so the correction needs only gathered em products
-    ia_parts, ib_parts, pid_parts = [], [], []
+    # two pair rows, so w_pp and w_pm of every pair of t's partners are entries
+    # of two deg_t x deg_t Gram matrices of t's phase rows R: Rw @ R.T and
+    # Rw @ R.conj().T with Rw = R * pwv, read on the strict upper triangle
+    ia_parts, ib_parts, pid_parts, pp_parts, pm_parts = [], [], [], [], []
     for t in range(n):
         plist = sorted(partners[t])
         if len(plist) < 2:
@@ -137,26 +141,21 @@ def _g2_components(circuit: Circuit, cutoff: int):
         rows = np.array([pair_row[(q, t) if q < t else (t, q)] for q in plist])
         qarr = np.array(plist)
         xa, xb = np.triu_indices(len(plist), 1)
+        r = em[rows]
+        rw = r * pwv
         ia_parts.append(rows[xa])
         ib_parts.append(rows[xb])
         pid_parts.append(qarr[xa] * n + qarr[xb])
+        pp_parts.append((rw @ r.T)[xa, xb])
+        pm_parts.append((rw @ r.conj().T)[xa, xb])
     if ia_parts:
-        ia = np.concatenate(ia_parts)
-        ib = np.concatenate(ib_parts)
+        ga = g_arr[np.concatenate(ia_parts)]
+        gb = g_arr[np.concatenate(ib_parts)]
         pid_shared = np.concatenate(pid_parts)
-        ga = g_arr[ia]
-        gb = g_arr[ib]
-        chunk = max(1, (1 << 22) // max(1, d))
-        for lo in range(0, len(ia), chunk):
-            hi = lo + chunk
-            ea = em[ia[lo:hi]]
-            eb = em[ib[lo:hi]]
-            w_pp = 1.0 + p * ((ea * eb) @ pwv)
-            w_pm = 1.0 + p * ((ea * eb.conj()) @ pwv)
-            np.add.at(corr_pp, pid_shared[lo:hi],
-                      np.log(w_pp) - ga[lo:hi] - gb[lo:hi] - log_wbg)
-            np.add.at(corr_pm, pid_shared[lo:hi],
-                      np.log(w_pm) - ga[lo:hi] - gb[lo:hi].conj() - log_wbg)
+        w_pp = 1.0 + p * np.concatenate(pp_parts)
+        w_pm = 1.0 + p * np.concatenate(pm_parts)
+        np.add.at(corr_pp, pid_shared, np.log(w_pp) - ga - gb - log_wbg)
+        np.add.at(corr_pm, pid_shared, np.log(w_pm) - ga - gb.conj() - log_wbg)
 
     i1, i2 = np.triu_indices(n, 1)
     pid = i1 * n + i2

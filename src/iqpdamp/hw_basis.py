@@ -28,7 +28,9 @@ from .circuit_model import FLOAT_FMT, Circuit
 from .frame_engine import DIAG, MINUS, PLUS, initial_strings, propagate
 
 # A finite decimal number as `serialize` writes it: no `_` separators, no nan/inf.
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# One table line `<ket-bits> <bra-bits> <re> <im>`; `\s` is exactly str.isspace, as in str.split.
+_TABLE_ROW = re.compile(rf"\s*([01]+)\s+([01]+)\s+({_DECIMAL})\s+({_DECIMAL})\s*")
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,12 @@ def mirrored_columns(kets: np.ndarray, bras: np.ndarray, vals: np.ndarray) -> tu
 
 
 def void_rows(rows: np.ndarray) -> np.ndarray:
-    """One opaque fixed-size key per row, to sort, group and search rows as wholes."""
+    """One fixed-size key per row, to sort, group and search rows as wholes.
+
+    4- and 8-byte rows become int32 and int64 keys, which sort about twice as fast as np.void."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    size = rows.dtype.itemsize * rows.shape[1]
+    return rows.view({4: np.int32, 8: np.int64}.get(size, np.dtype((np.void, size)))).ravel()
 
 
 class MaskView(Mapping):
@@ -326,32 +331,40 @@ def parse_table(text: str) -> HWCoefficientTable:
     """Inverse of HWCoefficientTable.serialize; cutoff is the largest weight present.
 
     Bit strings must consist of 0s and 1s, values must be finite decimal
-    numbers, and each (ket, bra) index may appear on one line only.
+    numbers, and each (ket, bra) index may appear on one line only. One regex
+    scan checks a line; a line off the pattern is split again to name its fault.
     """
-    kets, bras, vals, origins = [], [], [], []
+    kets, bras, vals, linenos = [], [], [], []
     n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'ket bra re im', got {line!r}")
-        ket_s, bra_s, re_s, im_s = parts
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        row = _TABLE_ROW.fullmatch(raw)
+        if row is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 4:
+                raise ValueError(f"line {lineno}: expected 'ket bra re im', got {line!r}")
+        else:
+            fields = row.groups()
+        ket_s, bra_s, re_s, im_s = fields
         if n is None:
             n = len(ket_s)
         if len(ket_s) != n or len(bra_s) != n:
             raise ValueError(f"line {lineno}: inconsistent bitstring width")
-        if ket_s.strip("01") or bra_s.strip("01"):
+        if row is None and (ket_s.strip("01") or bra_s.strip("01")):
             raise ValueError(f"line {lineno}: bit strings must consist of 0s and 1s, "
                              f"got {ket_s!r} {bra_s!r}")
-        if not all(_DECIMAL.fullmatch(x) and math.isfinite(float(x)) for x in (re_s, im_s)):
+        # four fields off the pattern with valid bits: a value is not decimal
+        re_v, im_v = (float(re_s), float(im_s)) if row else (math.nan, math.nan)
+        if not (math.isfinite(re_v) and math.isfinite(im_v)):
             raise ValueError(f"line {lineno}: values must be finite decimal numbers, "
                              f"got {re_s!r} {im_s!r}")
         kets.append(_mask_positions(int(ket_s, 2), n))
         bras.append(_mask_positions(int(bra_s, 2), n))
-        vals.append(complex(float(re_s), float(im_s)))
-        origins.append((lineno, ket_s, bra_s))
+        vals.append(complex(re_v, im_v))
+        linenos.append(lineno)
     if n is None:
         raise ValueError("empty table document")
     cutoff = max((len(ket) + len(bra) for ket, bra in zip(kets, bras)), default=0)
@@ -361,7 +374,9 @@ def parse_table(text: str) -> HWCoefficientTable:
                                 return_index=True, return_inverse=True)
     repeats = np.flatnonzero(first[group] != np.arange(len(vals)))
     if len(repeats):
-        raise ValueError("line {}: repeated entry {} {}".format(*origins[repeats[0]]))
+        lineno = linenos[repeats[0]]
+        ket_s, bra_s = lines[lineno - 1].split()[:2]
+        raise ValueError(f"line {lineno}: repeated entry {ket_s} {bra_s}")
     return HWCoefficientTable(n, cutoff, (kets, bras, np.array(vals, dtype=complex)))
 
 

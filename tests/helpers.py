@@ -101,3 +101,75 @@ def plain_marginal(qd, prefix):
             continue
         total += -c if ((y << shift) & s).bit_count() & 1 else c
     return total / 2.0 ** k
+
+
+def gathered_g2_components(circuit):
+    """The k = 2 closed form of `fastpath._g2_components`, with shared-partner products gathered.
+
+    A plain reference for 2-local circuits with 0 < p < 1: every pair (a, b) of
+    a qubit t's gate partners gathers the two phase rows em[a], em[b] of the
+    pairs (a, t), (b, t) and sums their products against the damping weights.
+    Returns the same seven blocks in the same order.
+    """
+    from collections import defaultdict
+
+    n, d, p = circuit.n, circuit.d, circuit.p
+    theta_rz = np.zeros(n)
+    pair_gates = defaultdict(list)
+    for li, gate in circuit.gates():
+        if gate.kind == "rz":
+            theta_rz[gate.targets[0]] += gate.theta
+        else:
+            pair_gates[tuple(sorted(gate.targets))].append((li, gate.theta))
+    pairs = sorted(pair_gates)
+    pair_row = {pr: i for i, pr in enumerate(pairs)}
+    partners = defaultdict(list)
+    for q1, q2 in pairs:
+        partners[q1].append(q2)
+        partners[q2].append(q1)
+
+    rd = (1.0 - p) ** d
+    log_wbg = math.log(2.0 - rd)
+    a00 = math.exp(n * (log_wbg - math.log(2.0)))
+    diag_val = a00 * (rd / (2.0 - rd))
+
+    pwv = (1.0 - p) ** np.arange(d)
+    inc = np.zeros((len(pairs), d))
+    for i, pr in enumerate(pairs):
+        for li, theta in pair_gates[pr]:
+            inc[i, li] += theta
+    em = np.exp(1j * np.cumsum(inc, axis=1))
+    g_arr = np.log(1.0 + p * (em @ pwv)) - log_wbg
+    q1s = np.array([pr[0] for pr in pairs], dtype=int)
+    q2s = np.array([pr[1] for pr in pairs], dtype=int)
+    g_sum = np.zeros(n, dtype=complex)
+    np.add.at(g_sum, q1s, g_arr)
+    np.add.at(g_sum, q2s, g_arr)
+    log_c1 = -n * math.log(2.0) + 0.5 * d * math.log1p(-p) + (n - 1) * log_wbg
+    alpha_plus = np.exp(log_c1 + g_sum - 2j * theta_rz)
+
+    corr_pp = np.zeros(n * n, dtype=complex)
+    corr_pm = np.zeros(n * n, dtype=complex)
+    corr_pp[q1s * n + q2s] = -2.0 * g_arr + 1j * inc.sum(axis=1)
+    corr_pm[q1s * n + q2s] = -2.0 * g_arr.real
+    for t in range(n):
+        plist = sorted(partners[t])
+        rows = [pair_row[(q, t) if q < t else (t, q)] for q in plist]
+        for xa in range(len(plist)):
+            # one gathered block of products per partner a, against every later partner b
+            ia, ib = rows[xa], np.array(rows[xa + 1:], dtype=int)
+            ea, eb = em[ia], em[ib]
+            pid = plist[xa] * n + np.array(plist[xa + 1:], dtype=int)
+            w_pp = 1.0 + p * ((ea * eb) @ pwv)
+            w_pm = 1.0 + p * ((ea * eb.conj()) @ pwv)
+            corr_pp[pid] += np.log(w_pp) - g_arr[ia] - g_arr[ib] - log_wbg
+            corr_pm[pid] += np.log(w_pm) - g_arr[ia] - g_arr[ib].conj() - log_wbg
+
+    i1, i2 = np.triu_indices(n, 1)
+    pid = i1 * n + i2
+    log_c2 = -n * math.log(2.0) + d * math.log1p(-p) + (n - 2) * log_wbg
+    alpha_pp = np.exp(log_c2 + g_sum[i1] + g_sum[i2] + corr_pp[pid]
+                      - 2j * (theta_rz[i1] + theta_rz[i2]))
+    alpha_pm = np.exp(log_c2 + g_sum[i1] + g_sum[i2].conj() + corr_pm[pid]
+                      - 2j * (theta_rz[i1] - theta_rz[i2]))
+    return a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm

@@ -1,7 +1,4 @@
-"""Run the demos that finish in seconds and check the numbers they print.
-
-05_large_scale.py (n = 1000) is left out: it takes minutes.
-"""
+"""Run every demo and check the numbers it prints; each finishes in seconds."""
 
 import re
 import runpy
@@ -53,3 +50,12 @@ def test_multiqubit_branching_demo(capsys):
     s = next(x for x in initial_strings(7, 1) if x.kinds[4] == PLUS)
     assert bound == branch_count_bound(s, circuit) == 945
     assert count == 96
+
+
+def test_large_scale_demo(capsys):
+    out = run_demo("05_large_scale.py", capsys)
+    # 1 + 2n + n(2n - 1) entries of weight <= 2 and 1 + n + n(n - 1)/2 parities at n = 1000
+    assert "2001001 coefficients of weight <= 2" in out
+    assert "table of 2001001 entries" in out
+    assert "Fourier support of 500501 parities" in out
+    assert "total mass (trace of the truncated state): 1.000000" in out

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import gathered_g2_components
 from iqpdamp.circuit_model import Circuit, Gate, idle_circuit, random_circuit
 from iqpdamp.fastpath import (
+    _g2_components,
     build_table_auto,
     fast_applicable,
     g2_low_weight_coefficients,
@@ -123,3 +126,50 @@ def test_medium_size_smoke():
     fast = g2_low_weight_table(c, 2)
     slow = build_table(c, 2)
     assert tables_agree(fast, slow, tol=1e-11)
+
+
+@pytest.mark.parametrize("n, d, p", [(130, 12, 0.3), (600, 45, 0.5)])
+def test_gram_products_match_the_gathered_reference(n, d, p):
+    got = _g2_components(random_circuit(n, d, p, seed=5), 2)
+    ref = gathered_g2_components(random_circuit(n, d, p, seed=5))
+    # only the shared-partner sums run in another order: the weight-2 off-diagonal rows
+    for block in (5, 6):
+        np.testing.assert_allclose(got[block], ref[block], rtol=1e-12, atol=0)
+    for block in (0, 1, 2, 3, 4):
+        a, b = np.asarray(got[block]), np.asarray(ref[block])
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), block
+
+
+@pytest.mark.parametrize("n, d, seed", [(5, 16, 0), (7, 20, 1), (8, 24, 2)])
+def test_matches_general_path_relatively_on_dense_partner_graphs(n, d, seed):
+    for p in (0.1, 0.5, 0.9):
+        c = random_circuit(n, d, p, seed=seed)
+        partners = [set() for _ in range(n)]
+        for _, g in c.gates():
+            if g.locality == 2:
+                partners[g.targets[0]].add(g.targets[1])
+                partners[g.targets[1]].add(g.targets[0])
+        assert min(map(len, partners)) >= 2  # every qubit's pairs take a shared-partner term
+        fast, slow = g2_low_weight_table(c, 2), build_table(c, 2)
+        assert set(fast.data) == set(slow.data)
+        for key, v in slow.data.items():
+            assert abs(fast.data[key] - v) <= 1e-12 * abs(v), (p, key)
+
+
+def test_coefficients_peak_memory_at_scale():
+    # the shared-partner products once gathered two 106 MB row copies at this size
+    circuit = random_circuit(600, 45, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        g2_low_weight_coefficients(circuit, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_rejects_wide_gates_at_every_cutoff():
+    c3 = random_circuit(5, 4, 0.2, locality=3, seed=1)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="1- and 2-local gates only"):
+            g2_low_weight_table(c3, k)

@@ -302,6 +302,15 @@ def test_parse_table_rejects_repeated_index():
         parse_table("01 10 1 0\n00 00 1 0\n01 10 2 0\n")
 
 
+@pytest.mark.parametrize("ket", ["100", "110", "111"])  # rows 1, 2 and 3 positions wide
+def test_parse_table_finds_repeats_at_every_row_width(ket):
+    text = f"{ket} 000 1 0\n000 000 1 0\n000 {ket} 1 0\n"
+    table = parse_table(text)
+    assert table.cutoff == ket.count("1") and len(table) == 3
+    with pytest.raises(ValueError, match=f"line 5: repeated entry {ket} 000"):
+        parse_table(text + f"# comment\n  {ket}\t000 2 0\n")
+
+
 def test_hard_three_local_layout_stays_small(monkeypatch):
     # unmerged propagation makes 393,686 branches for this table
     circuit = random_circuit(7, 6, 0.9, locality=3, seed=3)

@@ -12,7 +12,7 @@ from helpers import plain_marginal
 import iqpdamp.sampler as sampler_module
 from iqpdamp.circuit_model import random_circuit
 from iqpdamp.fastpath import _g2_components, build_table_auto
-from iqpdamp.hw_basis import HWCoefficientTable, MaskView, build_table, parse_table
+from iqpdamp.hw_basis import HWCoefficientTable, MaskView, build_table, parse_table, void_rows
 from iqpdamp.sampler import QuasiDistribution, fourier_table, marginal, sample
 
 
@@ -177,3 +177,21 @@ def test_insertion_order_keeps_marginals_and_draws(monkeypatch):
     draws = sample(qd, 40, seed=11)
     monkeypatch.setattr(sampler_module, "marginal", plain_marginal)
     assert sample(qd, 40, seed=11) == draws
+
+
+@pytest.mark.parametrize("width, key_type", [(1, np.int32), (2, np.int64), (3, np.void)])
+def test_row_keys_group_and_locate_rows_as_wholes(width, key_type):
+    rows = np.random.default_rng(width).integers(0, 6, size=(300, width), dtype=np.int32)
+    keys = void_rows(rows)
+    assert keys.dtype.type is key_type and keys.shape == (300,)
+    first_seen = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first_seen.setdefault(row, i)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    assert first[group].tolist() == [first_seen[row] for row in map(tuple, rows.tolist())]
+
+    distinct = rows[np.sort(first)]
+    view = MaskView(5, distinct, None, np.arange(len(distinct), dtype=float))
+    probe = np.vstack((rows, np.full((1, width), 6, dtype=np.int32)))  # the last row is absent
+    at = {row: j for j, row in enumerate(map(tuple, distinct.tolist()))}
+    assert view.locate(probe).tolist() == [at.get(row, -1) for row in map(tuple, probe.tolist())]
