@@ -12,7 +12,7 @@ request, 3 certification refusal, 4 numerical failure. Commands raise; `main`
 alone turns a refusal into its code and one stderr line (`error: <message>`
 for code 2), and only argparse's syntax errors print usage and raise
 SystemExit(2). reproduce-fig2 runs its instances on threads in one process,
-one per CPU; IQPDAMP_THREADS (an integer >= 1) sets the thread count instead.
+one per CPU; IQPDAMP_THREADS (an integer >= 1) lowers the thread count.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     if args.epsilon is not None:
         budget = select_k(circuit.n, circuit.d, circuit.p, args.epsilon)
     else:
-        if args.k < 0:
-            raise ValueError(f"--k must be >= 0, got {args.k}")
+        if not 0 <= args.k <= 2 * circuit.n:
+            raise ValueError(f"--k must lie in [0, 2n] = [0, {2 * circuit.n}], got {args.k}")
         budget = ErrorBudget(None, None, args.k, None, None,
                              *truncation_bounds(circuit.n, circuit.d, circuit.p, args.k))
     k = budget.k
@@ -241,10 +241,11 @@ def _fig2_instance(circuit: Circuit, kmax: int) -> tuple[list[float], list[float
 
 
 def _worker_count(instances: int) -> int:
-    """IQPDAMP_THREADS, else the CPUs this process may run on; never more than `instances`.
+    """The CPUs this process may run on, or fewer if IQPDAMP_THREADS asks; never more than `instances`.
 
     Raises ValueError when IQPDAMP_THREADS is set to anything but an integer >= 1.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("IQPDAMP_THREADS")
     if env is not None:
         try:
@@ -253,11 +254,8 @@ def _worker_count(instances: int) -> int:
             wanted = 0
         if wanted < 1:
             raise ValueError(f"IQPDAMP_THREADS must be an integer >= 1, got {env!r}")
-    elif hasattr(os, "sched_getaffinity"):
-        wanted = len(os.sched_getaffinity(0))
-    else:
-        wanted = os.cpu_count() or 1
-    return min(wanted, instances)
+        cpus = min(cpus, wanted)
+    return min(cpus, instances)
 
 
 def cmd_reproduce_fig2(args) -> int:

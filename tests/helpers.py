@@ -104,12 +104,16 @@ def plain_marginal(qd, prefix):
 
 
 def gathered_g2_components(circuit):
-    """The k = 2 closed form of `fastpath._g2_components`, with shared-partner products gathered.
+    """The k = 2 closed form of `fastpath`, with shared-partner products gathered.
 
     A plain reference for 2-local circuits with 0 < p < 1: every pair (a, b) of
     a qubit t's gate partners gathers the two phase rows em[a], em[b] of the
     pairs (a, t), (b, t) and sums their products against the damping weights.
-    Returns the same seven blocks in the same order.
+    Returns seven blocks (a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm):
+    the zero-weight coefficient, the common weight-2 diagonal value, the
+    weight-1 value per qubit, and per unordered qubit pair (i1[j], i2[j]) the
+    equal-sign and mixed-sign weight-2 values. `closed_form_columns` lays them
+    out as a table.
     """
     from collections import defaultdict
 
@@ -173,3 +177,36 @@ def gathered_g2_components(circuit):
     alpha_pm = np.exp(log_c2 + g_sum[i1] + g_sum[i2].conj() + corr_pm[pid]
                       - 2j * (theta_rz[i1] - theta_rz[i2]))
     return a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm
+
+
+def closed_form_columns(n, blocks):
+    """The table of `gathered_g2_components`' blocks as (kets, bras, values), entry by entry.
+
+    Rows are two ascending qubit positions padded with n. Entries come in the
+    fast path's order: the weight-0 entry and the weight-2 diagonals, then the
+    weight-1 entries per qubit and the (+,+) and (+,-) weight-2 entries per
+    qubit pair. Exact zeros are left out, and each off-diagonal entry is
+    followed by its mirror, whose value 0.0 + conj(v) has a +0.0 imaginary
+    part for a real v.
+    """
+    a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = blocks
+    entries = [([n, n], [n, n], complex(a00))]
+    if diag_val:
+        entries += [([q, n], [q, n], complex(diag_val)) for q in range(n)]
+
+    def mirrored(ket, bra, v):
+        if v != 0:
+            entries.extend([(ket, bra, v), (bra, ket, 0.0 + v.conjugate())])
+
+    for q, v in enumerate(alpha_plus.tolist()):
+        mirrored([q, n], [n, n], v)
+    for q1, q2, pp, pm in zip(i1.tolist(), i2.tolist(), alpha_pp.tolist(), alpha_pm.tolist()):
+        mirrored([q1, q2], [n, n], pp)
+        mirrored([q1, n], [q2, n], pm)
+    kets, bras, values = zip(*entries)
+    return np.array(kets), np.array(bras), np.array(values)
+
+
+def position_mask(n, row):
+    """The n-bit mask of a row of qubit positions padded with n, qubit 0 on top."""
+    return sum(1 << (n - 1 - q) for q in row if q < n)

@@ -2,13 +2,15 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. The full-scale sweep (criterion 4) dominates the
-runtime at roughly ten minutes single-threaded.
+runtime at roughly ten minutes single-threaded; it is marked `slow`, so
+`pytest -m "not slow"` leaves it out.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 import iqpdamp.cli as cli
 from helpers import (
@@ -87,6 +89,7 @@ def test_ac3_measured_error_below_hs_bound():
            f"{worst_excess:.3g} (slack limit 1e-12) in {elapsed:.1f} s (limit 300)")
 
 
+@pytest.mark.slow
 def test_ac4_error_sweep_at_scale(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IQPDAMP_THREADS", "1")
     out = tmp_path / "sweep.csv"

@@ -334,9 +334,16 @@ def test_usage_errors_exit_two():
     (["reproduce-fig2", "--n", "15"], f"dense sweep needs n <= {cli._FIG2_N_CAP}, got n=15"),
     (["validate", "--circuit", "latin1.txt"], "cannot read circuit file: latin1.txt: 'utf-8' "
      "codec can't decode byte 0xff in position 16: invalid start byte"),
+    (["simulate", "--random", "10,3,0.9,3", "--k", "21"], "--k must lie in [0, 2n] = [0, 20], got 21"),
+    (["sample", "--random", "10,3,0.9", "--k", "25", "--samples", "5"],
+     "--k must lie in [0, 2n] = [0, 20], got 25"),
 ])
 def test_every_refusal_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("table work started before the request was refused")
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_table_auto", no_work)
     (tmp_path / "latin1.txt").write_bytes(b"iqp n=2 d=1 p=0.\xff5\nlayer 0\n")
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -445,9 +452,12 @@ def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert cli._worker_count(10) == 3
     assert cli._worker_count(2) == 2
-    monkeypatch.setenv("IQPDAMP_THREADS", "5")
-    assert cli._worker_count(10) == 5
-    assert cli._worker_count(4) == 4
+    monkeypatch.setenv("IQPDAMP_THREADS", "2")
+    assert cli._worker_count(10) == 2
+    assert cli._worker_count(1) == 1
+    for above in ("3", "5", "64"):  # never more threads than CPUs
+        monkeypatch.setenv("IQPDAMP_THREADS", above)
+        assert cli._worker_count(10) == 3
     for bad in ("abc", "0", "-3", "2.5", ""):
         monkeypatch.setenv("IQPDAMP_THREADS", bad)
         with pytest.raises(ValueError, match=f"IQPDAMP_THREADS must be an integer >= 1, got {bad!r}"):
@@ -458,11 +468,14 @@ def test_worker_count_follows_cpu_affinity_and_payloads(monkeypatch, capsys):
     monkeypatch.delenv("IQPDAMP_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._worker_count(100) == 64
+    monkeypatch.setenv("IQPDAMP_THREADS", "1000")
+    assert cli._worker_count(100) == 64
 
 
 def test_reproduce_fig2_output_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
     argv = ["reproduce-fig2", "--n", "4", "--d", "3", "--p", "0.3",
             "--instances", "4", "--kmax", "9", "--seed", "3"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     outputs = []
     for threads in ("1", "3"):
         monkeypatch.setenv("IQPDAMP_THREADS", threads)

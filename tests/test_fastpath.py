@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import gathered_g2_components
-from iqpdamp.circuit_model import Circuit, Gate, idle_circuit, random_circuit
+from helpers import closed_form_columns, gathered_g2_components, position_mask
+from iqpdamp.circuit_model import CPHASE, RZ, Circuit, Gate, idle_circuit, random_circuit
 from iqpdamp.fastpath import (
-    _g2_components,
     build_table_auto,
     fast_applicable,
     g2_low_weight_coefficients,
@@ -21,15 +20,28 @@ def tables_agree(a, b, tol=1e-12):
     return max(abs(a.get(*k) - b.get(*k)) for k in keys) < tol
 
 
+def edge_circuits(p):
+    """Inputs with no gated pair, or with partner runs of length 1, or one pair gated repeatedly."""
+    first, again = Gate(CPHASE, (0, 2), 0.7), Gate(CPHASE, (2, 0), 1.9)
+    return [
+        random_circuit(1, 3, p, seed=1),
+        random_circuit(2, 3, p, seed=2),
+        idle_circuit(4, 3, p),
+        Circuit(3, 2, p, ((Gate(RZ, (0,), 0.4), Gate(RZ, (2,), 1.3)), (Gate(RZ, (1,), 2.2),))),
+        Circuit(3, 3, p, ((first,), (), (again, Gate(RZ, (1,), 0.5)))),
+        # not validated: one pair gated twice in one layer
+        Circuit(3, 2, p, ((first, again), (Gate(CPHASE, (0, 1), 0.3),))),
+    ]
+
+
 def test_matches_general_path_on_grid():
-    for n in (4, 5, 6):
-        for d in (3, 7):
-            for p in (0.15, 0.5, 0.9, 1.0):
-                c = random_circuit(n, d, p, seed=n * 100 + d)
-                slow = {k: build_table(c, k) for k in (0, 1, 2)}
-                for k in (0, 1, 2):
-                    fast = g2_low_weight_table(c, k)
-                    assert tables_agree(fast, slow[k]), (n, d, p, k)
+    circuits = [random_circuit(n, d, p, seed=n * 100 + d)
+                for n in (4, 5, 6) for d in (3, 7) for p in (0.15, 0.5, 0.9, 1.0)]
+    circuits += [c for p in (0.15, 0.5, 0.9, 1.0) for c in edge_circuits(p)]
+    for c in circuits:
+        for k in (0, 1, 2):
+            fast, slow = g2_low_weight_table(c, k), build_table(c, k)
+            assert tables_agree(fast, slow), (c.n, c.d, c.p, k, c.layers)
 
 
 def test_both_builders_leave_out_exactly_zero_entries():
@@ -65,13 +77,9 @@ def test_columnar_and_table_forms_agree():
     kets, bras, values = g2_low_weight_coefficients(c, 2)
     t = g2_low_weight_table(c, 2)
     assert len(kets) == len(bras) == len(values) == len(t)
-
-    def mask(row):  # qubit positions padded with n -> bitmask, qubit 0 on top
-        return sum(1 << (c.n - 1 - q) for q in row if q < c.n)
-
     for ket, bra, v in zip(kets.tolist(), bras.tolist(), values):
         assert ket == sorted(ket) and bra == sorted(bra)
-        assert t.get(mask(ket), mask(bra)) == v
+        assert t.get(position_mask(c.n, ket), position_mask(c.n, bra)) == v
 
 
 def test_hermitian_and_sized_like_general_table():
@@ -130,14 +138,15 @@ def test_medium_size_smoke():
 
 @pytest.mark.parametrize("n, d, p", [(130, 12, 0.3), (600, 45, 0.5)])
 def test_gram_products_match_the_gathered_reference(n, d, p):
-    got = _g2_components(random_circuit(n, d, p, seed=5), 2)
-    ref = gathered_g2_components(random_circuit(n, d, p, seed=5))
-    # only the shared-partner sums run in another order: the weight-2 off-diagonal rows
-    for block in (5, 6):
-        np.testing.assert_allclose(got[block], ref[block], rtol=1e-12, atol=0)
-    for block in (0, 1, 2, 3, 4):
-        a, b = np.asarray(got[block]), np.asarray(ref[block])
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), block
+    circuit = random_circuit(n, d, p, seed=5)
+    kets, bras, values = g2_low_weight_coefficients(circuit, 2)
+    ref_kets, ref_bras, expected = closed_form_columns(n, gathered_g2_components(circuit))
+    assert np.array_equal(kets, ref_kets) and np.array_equal(bras, ref_bras)
+    assert values.dtype == expected.dtype
+    # only the shared-partner sums run in another order: the weight-2 off-diagonal values
+    moved = ((kets < n).sum(axis=1) + (bras < n).sum(axis=1) == 2) & (kets != bras).any(axis=1)
+    np.testing.assert_allclose(values[moved], expected[moved], rtol=1e-12, atol=0)
+    assert values[~moved].tobytes() == expected[~moved].tobytes()
 
 
 @pytest.mark.parametrize("n, d, seed", [(5, 16, 0), (7, 20, 1), (8, 24, 2)])

@@ -8,30 +8,24 @@ sees int keys in entry order.
 import numpy as np
 import pytest
 
-from helpers import plain_marginal
+from helpers import plain_marginal, position_mask
 import iqpdamp.sampler as sampler_module
 from iqpdamp.circuit_model import random_circuit
-from iqpdamp.fastpath import _g2_components, build_table_auto
+from iqpdamp.fastpath import build_table_auto, g2_low_weight_coefficients
 from iqpdamp.hw_basis import HWCoefficientTable, MaskView, build_table, parse_table, void_rows
 from iqpdamp.sampler import QuasiDistribution, fourier_table, marginal, sample
 
 
 def reference_entries(circuit, k):
-    """The closed-form table as an int-keyed dict, filled entry by entry."""
-    a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = _g2_components(circuit, k)
-    bit = [1 << (circuit.n - 1 - q) for q in range(circuit.n)]
-    ref = {(0, 0): complex(a00)}
-    if diag_val:
-        ref.update({(b, b): complex(diag_val) for b in bit})
-    for q, v in enumerate(alpha_plus.tolist()):
-        if v != 0:
-            ref[(bit[q], 0)], ref[(0, bit[q])] = v, 0.0 + v.conjugate()
-    for q1, q2, pp, pm in zip(i1.tolist(), i2.tolist(), alpha_pp.tolist(), alpha_pm.tolist()):
-        if pp != 0:
-            ref[(bit[q1] | bit[q2], 0)], ref[(0, bit[q1] | bit[q2])] = pp, 0.0 + pp.conjugate()
-        if pm != 0:
-            ref[(bit[q1], bit[q2])], ref[(bit[q2], bit[q1])] = pm, 0.0 + pm.conjugate()
-    return ref
+    """The closed-form table as an int-keyed dict, filled entry by entry from its position columns.
+
+    test_fastpath checks the columns of the n = 130 circuit used below against
+    the gathered reference in `helpers`.
+    """
+    n = circuit.n
+    kets, bras, values = g2_low_weight_coefficients(circuit, k)
+    return {(position_mask(n, ket), position_mask(n, bra)): v
+            for ket, bra, v in zip(kets.tolist(), bras.tolist(), values.tolist())}
 
 
 def test_columns_past_61_qubits_match_a_plain_dict_reference():
