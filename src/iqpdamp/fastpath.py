@@ -32,7 +32,7 @@ structure of two-local propagation:
     phases, whose Rz angles are summed per qubit (theta_rz).
   * Flipping every sigma sign conjugates everything, so only the (+,+) and
     (+,-) sign patterns are computed; `hw_basis.mirrored_columns` adds the rest.
-Each weight's entries become the table's position columns in numpy alone.
+Each weight's entries become the table's key rows in numpy alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def build_table_auto(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     return build_table(circuit, cutoff)
 
 
-def _weight2_half(circuit, rows, log_wbg, pwv, theta_rz, g_sum, q1s, q2s, inc, em, g_arr):
+def _weight2_half(circuit, log_wbg, pwv, theta_rz, g_sum, q1s, q2s, inc, em, g_arr):
     """The (+,+) and (+,-) weight-2 entries of every qubit pair, one per Hermitian pair.
 
     Row j of q1s, q2s, inc, em and g_arr belongs to the gated pair q1s[j] < q2s[j].
@@ -97,20 +97,20 @@ def _weight2_half(circuit, rows, log_wbg, pwv, theta_rz, g_sum, q1s, q2s, inc, e
     alpha_pp = np.exp(log_c2 + g_sum[i1] + g_sum[i2] + corr_pp - 2j * (theta_rz[i1] + theta_rz[i2]))
     alpha_pm = np.exp(log_c2 + g_sum[i1] + g_sum[i2].conj() + corr_pm
                       - 2j * (theta_rz[i1] - theta_rz[i2]))
-    kets, bras = rows(2 * len(i1), np.repeat(i1, 2)), rows(2 * len(i1))
-    kets[::2, 1], bras[1::2, 0] = i2, i2  # (+,+) (i1 i2, -) and (+,-) (i1, i2) alternate
-    return kets, bras, np.column_stack((alpha_pp, alpha_pm)).ravel()
+    keys = np.full((2 * len(i1), 4), n, dtype=POSITION)  # (ket ket bra bra) rows
+    keys[:, 0] = np.repeat(i1, 2)
+    keys[::2, 1], keys[1::2, 2] = i2, i2  # (+,+) (i1 i2, -) and (+,-) (i1, i2) alternate
+    return keys, np.column_stack((alpha_pp, alpha_pm)).ravel()
 
 
 def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
-    """Columnar (kets, bras, values) form of the table, cheap to build at n ~ 10^3.
+    """Columnar (rows, values) form of the table, cheap to build at n ~ 10^3.
 
     Each weight's half of the table, one entry per Hermitian pair, goes to
     `hw_basis.mirrored_columns`: the weight-0 entry and the weight-2 diagonals,
     then the weight-1 entries per qubit and the (+,+) and (+,-) weight-2 entries
-    per qubit pair, in ascending order. kets and bras are rows of ascending
-    qubit positions padded with n (`hw_basis.row_width` wide); values is a
-    complex array aligned with them.
+    per qubit pair, in ascending order. rows are `hw_basis` key rows; values is
+    a complex array aligned with them.
     """
     if not (0 <= cutoff <= 2):
         raise ValueError(f"fast path covers cutoff <= 2, got {cutoff}")
@@ -125,20 +125,22 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
             if gate.locality > 2:
                 raise ValueError("fast path requires 1- and 2-local gates only")
             if gate.kind == RZ:
+                if not 0 <= gate.targets[0] < n:  # refused as propagate does: a negative index wraps
+                    raise IndexError(f"target {gate.targets[0]} out of range [0, {n})")
                 theta_rz[gate.targets[0]] += gate.theta
-            elif gate.kind == CPHASE:
+            elif gate.kind != CPHASE:
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+            elif gate.locality < 2:
+                raise ValueError(f"cphase takes >= 2 targets, got {gate.locality}")
+            else:
                 q1, q2 = sorted(gate.targets)
+                if q1 == q2:
+                    raise ValueError(f"duplicate target in {gate.targets}")
+                if q1 < 0 or q2 >= n:  # the key q1 * n + q2 would name another pair
+                    raise IndexError(f"target {q1 if q1 < 0 else q2} out of range [0, {n})")
                 keys.append(q1 * n + q2)
                 layer_of.append(li)
                 thetas.append(gate.theta)
-
-    width = row_width(n, cutoff)
-
-    def rows(count, *columns):
-        out = np.full((count, width), n, dtype=POSITION)
-        for j, column in enumerate(columns):
-            out[:, j] = column
-        return out
 
     rd = (1.0 - p) ** d
     log_wbg = math.log(2.0 - rd)
@@ -147,8 +149,10 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
     a00 = math.exp(n * (log_wbg - math.log(2.0)))
     a_bg = rd / (2.0 - rd)
     diag_val = a00 * a_bg if cutoff == 2 else 0.0
-    diagonal = rows(n + 1, [n, *range(n)])  # the weight-0 row, then the row of each qubit
-    halves = [(diagonal, diagonal, np.array([a00] + [diag_val] * n, dtype=complex))]
+    width = row_width(n, cutoff)
+    diagonal = np.full((n + 1, 2 * width), n, dtype=POSITION)  # weight 0, then each qubit's (1,1)
+    diagonal[1:, 0] = diagonal[1:, width] = np.arange(n)
+    halves = [(diagonal, np.array([a00] + [diag_val] * n, dtype=complex))]
 
     # sigma slots carry sqrt(1-p) per layer, so all m >= 1 strings die at p = 1
     if cutoff >= 1 and p < 1.0:
@@ -166,9 +170,11 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
         np.add.at(g_sum, q2s, g_arr)
 
         log_c1 = -n * math.log(2.0) + 0.5 * d * math.log1p(-p) + (n - 1) * log_wbg
-        halves.append((diagonal[1:], rows(n), np.exp(log_c1 + g_sum - 2j * theta_rz)))
+        single = np.full((n, 2 * width), n, dtype=POSITION)
+        single[:, 0] = np.arange(n)
+        halves.append((single, np.exp(log_c1 + g_sum - 2j * theta_rz)))
         if cutoff == 2 and n > 1:  # n = 1 has no pairs, and rows one position wide
-            halves.append(_weight2_half(circuit, rows, log_wbg, pwv, theta_rz, g_sum,
+            halves.append(_weight2_half(circuit, log_wbg, pwv, theta_rz, g_sum,
                                         q1s, q2s, inc, em, g_arr))
     return tuple(np.concatenate(parts) for parts in zip(*(mirrored_columns(*h) for h in halves)))
 

@@ -7,11 +7,11 @@ circuit is approximated by keeping every coefficient alpha_(a,b) = <a|rho|b> of
 weight at most a cutoff k; those coefficients are read off propagated frame
 strings, each weight-(<=k) index being supported by exactly one initial string.
 
-A table is three aligned columns in entry order: ket and bra qubit positions
-(ascending, padded with the sentinel n to min(k, n)) and complex values, so no
-int mask is ever hashed. Callers read it through `MaskView`, a read-only
-mapping keyed by (ket, bra) pairs of int masks. Every builder computes one
-entry per Hermitian pair, and `mirrored_columns` alone turns those into a table.
+A table is two aligned columns in entry order: int32 key rows (the ket's qubit
+positions, then the bra's, each half ascending and padded with the sentinel n
+to min(k, n)) and complex values, so no int mask is ever hashed. `MaskView`
+reads them as a mapping keyed by (ket, bra) pairs of int masks. Every builder
+computes one entry per Hermitian pair; `mirrored_columns` alone makes a table.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def count_weight_h_with_r_zeroblocks(h: int, r: int, n: int) -> int:
     return math.comb(n, r) * math.comb(n - r, w) * (2 ** u)
 
 
-POSITION = np.int32  # dtype of the qubit-position columns
+POSITION = np.int32  # dtype of the key rows
 _CHUNK = 1 << 12  # entries turned into Python keys and values at a time
 
 
@@ -93,10 +93,18 @@ def _mask_positions(mask, n: int) -> list[int]:
     return positions
 
 
-def _padded_rows(positions: list, n: int, width: int) -> np.ndarray:
-    """(len, width) array of position lists, each padded with the sentinel n."""
-    return np.array([[*row, *[n] * (width - len(row))] for row in positions],
-                    dtype=POSITION).reshape(-1, width)
+def _padded_rows(keys: list, n: int, width: int, parts: int) -> np.ndarray:
+    """(len, parts * width) key rows of keys given as `parts` position lists each, padded with n."""
+    return np.array([[*part, *[n] * (width - len(part))] for key in keys for part in key],
+                    dtype=POSITION).reshape(-1, parts * width)
+
+
+def _key_masks(key, parts: int) -> tuple:
+    """The masks of a key as a tuple: the mask itself in a support, the (ket, bra) pair in a table."""
+    masks = (key,) if parts == 1 else key
+    if not (isinstance(masks, tuple) and len(masks) == parts):
+        raise ValueError(f"table keys must be (ket, bra) pairs of masks, got {key!r}")
+    return masks
 
 
 def _masks(rows: np.ndarray, n: int) -> list[int]:
@@ -108,24 +116,23 @@ def _masks(rows: np.ndarray, n: int) -> list[int]:
     return masks
 
 
-def mirrored_columns(kets: np.ndarray, bras: np.ndarray, vals: np.ndarray) -> tuple:
-    """Table columns from one entry per Hermitian pair, given in the caller's order.
+def mirrored_columns(rows: np.ndarray, vals: np.ndarray) -> tuple:
+    """Table columns (rows, vals) from one entry per Hermitian pair, given in the caller's order.
 
-    Drops every entry whose value is exactly 0 and puts each off-diagonal entry's
-    mirror (bra, ket, 0.0 + conj(v)) right after it; the 0.0 + makes it +0.0j for a real v.
+    Drops every entry whose value is exactly 0 and puts each off-diagonal entry's mirror
+    (ket and bra halves swapped, 0.0 + conj(v)) right after it; the 0.0 + makes it +0.0j for a real v.
     """
     nonzero = np.flatnonzero(vals != 0)  # gathers by index: far faster than by mask on rows
-    kets, bras, vals = (column.take(nonzero, axis=0) for column in (kets, bras, vals))
-    is_off = (kets != bras).any(axis=1)
+    rows, vals = rows.take(nonzero, axis=0), vals.take(nonzero)
+    half = rows.shape[1] // 2
+    is_off = (rows[:, :half] != rows[:, half:]).any(axis=1)
     at = np.arange(len(vals)) + np.cumsum(is_off) - is_off  # a mirror takes the next slot
     off = np.flatnonzero(is_off)
-    columns = []  # each allocated once at its final size
-    for own, mirror in ((kets, bras.take(off, axis=0)), (bras, kets.take(off, axis=0)),
-                        (vals, 0.0 + vals.take(off).conj())):
-        out = np.empty((len(vals) + len(off), *own.shape[1:]), dtype=own.dtype)
-        out[at], out[at[off] + 1] = own, mirror
-        columns.append(out)
-    return tuple(columns)
+    out_rows = np.empty((len(vals) + len(off), rows.shape[1]), dtype=rows.dtype)
+    out_vals = np.empty(len(vals) + len(off), dtype=vals.dtype)
+    out_rows[at], out_rows[at[off] + 1] = rows, np.roll(rows.take(off, axis=0), half, axis=1)
+    out_vals[at], out_vals[at[off] + 1] = vals, 0.0 + vals.take(off).conj()
+    return out_rows, out_vals
 
 
 def void_rows(rows: np.ndarray) -> np.ndarray:
@@ -138,52 +145,45 @@ def void_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class MaskView(Mapping):
-    """Read-only mapping over the position columns of a table or a Fourier support.
+    """Read-only mapping over the key rows of a table (parts = 2) or a Fourier support (parts = 1).
 
-    Entry i is `kets[i]` and, in a table, `bras[i]`: the ascending qubit
-    positions of its masks, padded with the sentinel n. `vals[i]` is its value.
-    Reads see int masks (a support) or (ket, bra) pairs of them (a table), with
-    Python complex or float values, in entry order; iteration converts a chunk
-    of entries at a time. A lookup binary-searches the rows, sorted on first use.
+    A support row holds its parity's positions, padded like each half of a
+    table row; `vals[i]` is entry i's value. Reads see (ket, bra) pairs of int
+    masks or int masks, with Python complex or float values, in entry order;
+    iteration converts a chunk of entries at a time. A lookup binary-searches
+    the rows, sorted on first use.
     """
 
-    def __init__(self, n: int, kets: np.ndarray, bras: np.ndarray | None, vals: np.ndarray):
-        self.n, self.kets, self.bras, self.vals = n, kets, bras, vals
-        for column in (kets, vals) if bras is None else (kets, bras, vals):
-            column.flags.writeable = False  # the lookup index and decoded pairs stay valid
+    def __init__(self, n: int, parts: int, rows: np.ndarray, vals: np.ndarray):
+        self.n, self.parts, self.rows, self.vals = n, parts, rows, vals
+        rows.flags.writeable = vals.flags.writeable = False  # keeps the lookup index valid
         self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_mapping(cls, n: int, entries: Mapping, cutoff: int | None = None) -> "MaskView":
-        """Columns of outside keys: masks, or with a `cutoff` (ket, bra) pairs of weight <= cutoff.
+        """Rows of outside keys: masks, or with a `cutoff` (ket, bra) pairs of weight <= cutoff.
 
         Raises ValueError for a table key that is not a (ket, bra) pair, a mask
         outside [0, 2^n), an entry above the cutoff or a non-finite value.
         """
+        parts = 1 if cutoff is None else 2
         keys = list(entries)
         vals = np.array(list(entries.values()), dtype=float if cutoff is None else complex)
         bad = np.flatnonzero(~np.isfinite(vals))
         if len(bad):
             raise ValueError(f"entry {keys[bad[0]]} has a non-finite value {vals[bad[0]]}")
-        if cutoff is None:
-            kets = [_mask_positions(mask, n) for mask in keys]
-            width = max([1, *map(len, kets)])
-            return cls(n, _padded_rows(kets, n, width), None, vals)
-        for key in keys:
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError(f"table keys must be (ket, bra) pairs of masks, got {key!r}")
-        kets = [_mask_positions(ket, n) for ket, _ in keys]
-        bras = [_mask_positions(bra, n) for _, bra in keys]
-        for key, ket, bra in zip(keys, kets, bras):
-            if len(ket) + len(bra) > cutoff:
+        positions = [[_mask_positions(mask, n) for mask in _key_masks(key, parts)] for key in keys]
+        for key, key_positions in zip(keys, positions):
+            if cutoff is not None and sum(map(len, key_positions)) > cutoff:
                 raise ValueError(f"entry {key} has weight above the cutoff {cutoff}")
-        width = row_width(n, cutoff)
-        return cls(n, _padded_rows(kets, n, width), _padded_rows(bras, n, width), vals)
+        width = (row_width(n, cutoff) if cutoff is not None
+                 else max([1, *(len(parity) for parity, in positions)]))
+        return cls(n, parts, _padded_rows(positions, n, width, parts), vals)
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Entry index of each key row (ket positions, then bra positions in a table); -1 if absent."""
+        """Entry index of each key row; -1 if absent."""
         if self._index is None:
-            own = void_rows(self.kets if self.bras is None else np.hstack((self.kets, self.bras)))
+            own = void_rows(self.rows)
             order = np.argsort(own)
             self._index = own[order], order
         keys, order = self._index
@@ -194,17 +194,14 @@ class MaskView(Mapping):
         return np.where(keys[at] == wanted, order[at], -1)
 
     def __getitem__(self, key):
-        masks = (key,) if self.bras is None else key
-        width = self.kets.shape[1]
+        width = self.rows.shape[1] // self.parts
         try:
-            if not (isinstance(masks, tuple) and len(masks) == (1 if self.bras is None else 2)):
-                raise ValueError(key)
-            positions = [_mask_positions(mask, self.n) for mask in masks]
+            positions = [_mask_positions(mask, self.n) for mask in _key_masks(key, self.parts)]
         except ValueError:
             raise KeyError(key) from None
         found = -1
         if max(map(len, positions)) <= width:
-            found = int(self.locate(_padded_rows(positions, self.n, width).reshape(1, -1))[0])
+            found = int(self.locate(_padded_rows([positions], self.n, width, self.parts))[0])
         if found < 0:
             raise KeyError(key)
         return self.vals[found].item()
@@ -216,9 +213,8 @@ class MaskView(Mapping):
         """(key, value) pairs in entry order, or in the order of the entry indices `order`."""
         for lo in range(0, len(self), _CHUNK):
             pick = slice(lo, lo + _CHUNK) if order is None else order[lo:lo + _CHUNK]
-            keys = _masks(self.kets[pick], self.n)
-            if self.bras is not None:
-                keys = zip(keys, _masks(self.bras[pick], self.n))
+            masks = [_masks(part, self.n) for part in np.split(self.rows[pick], self.parts, axis=1)]
+            keys = masks[0] if self.parts == 1 else zip(*masks)
             yield from zip(keys, self.vals[pick].tolist())
 
     def __iter__(self):
@@ -235,11 +231,10 @@ class MaskView(Mapping):
             return NotImplemented
         if len(self) != len(other):
             return False
-        if (isinstance(other, MaskView) and other.n == self.n
-                and (other.bras is None) == (self.bras is None)
-                and other.kets.shape[1] == self.kets.shape[1]):
+        if (isinstance(other, MaskView) and (other.n, other.parts) == (self.n, self.parts)
+                and other.rows.shape[1] == self.rows.shape[1]):
             # rows of the same layout: look every own key up in `other` at once
-            at = other.locate(self.kets if self.bras is None else np.hstack((self.kets, self.bras)))
+            at = other.locate(self.rows)
             return bool((at >= 0).all() and (other.vals[at] == self.vals).all())
         missing = object()
         return all(other.get(key, missing) == v for key, v in self.iter_items())
@@ -261,11 +256,11 @@ class _Values(ValuesView):
 
 
 class HWCoefficientTable:
-    """Coefficients of the ket-bra indices of weight <= cutoff, stored as position columns.
+    """Coefficients of the ket-bra indices of weight <= cutoff, stored as key rows and values.
 
     `data` is a read-only MaskView keyed by (ket, bra) bitmask pairs. Builders
-    pass their (kets, bras, values) columns to the constructor; assigning a
-    mapping to `data` is the entry point for outside keys, which it checks.
+    pass their (rows, values) columns to the constructor; assigning a mapping
+    to `data` is the entry point for outside keys, which it checks.
     """
 
     def __init__(self, n: int, cutoff: int, columns: tuple | None = None):
@@ -273,7 +268,7 @@ class HWCoefficientTable:
             raise ValueError(f"cutoff must be in [0, {2*n}], got {cutoff}")
         self.n = n
         self.cutoff = cutoff
-        self._data = MaskView(n, *columns) if columns else MaskView.from_mapping(n, {}, cutoff)
+        self._data = MaskView(n, 2, *columns) if columns else MaskView.from_mapping(n, {}, cutoff)
 
     @property
     def data(self) -> MaskView:
@@ -292,18 +287,17 @@ class HWCoefficientTable:
 
     def hermiticity_defect(self) -> float:
         data = self._data
-        mirror = data.locate(np.hstack((data.bras, data.kets)))
+        mirror = data.locate(np.roll(data.rows, data.rows.shape[1] // 2, axis=1))
         partner = np.where(mirror >= 0, data.vals[mirror], 0.0)
         return float(np.abs(data.vals - partner.conj()).max(initial=0.0))
 
     def sorted_items(self):
         """((ket, bra), value) pairs in (weight, ket, bra) order, one at a time."""
-        data = self._data
         # n - q is 0 for the sentinel and falls as the position q rises, so the
         # lexicographic order of these rows is the int order of the masks
-        keys = self.n - np.vstack((data.bras.T[::-1], data.kets.T[::-1]))
+        keys = self.n - self._data.rows.T[::-1]
         order = np.lexsort((*keys, np.count_nonzero(keys, axis=0)))  # last key, weight, first
-        return data.iter_items(order)
+        return self._data.iter_items(order)
 
     def text_rows(self):
         """(ket bits, bra bits, re, im) per entry in (weight, ket, bra) order, one at a time."""
@@ -316,8 +310,8 @@ class HWCoefficientTable:
                 for ket, bra, re, im in self.text_rows())
 
     def trace(self) -> complex:
-        data = self._data
-        return sum(data.vals[(data.kets == data.bras).all(axis=1)].tolist())
+        ket, bra = np.split(self._data.rows, 2, axis=1)
+        return sum(self._data.vals[(ket == bra).all(axis=1)].tolist())
 
     def to_dense(self):
         """Dense matrix realization for small-n cross-checks."""
@@ -334,7 +328,7 @@ def parse_table(text: str) -> HWCoefficientTable:
     numbers, and each (ket, bra) index may appear on one line only. One regex
     scan checks a line; a line off the pattern is split again to name its fault.
     """
-    kets, bras, vals, linenos = [], [], [], []
+    keys, vals, linenos = [], [], []
     n = None
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -361,23 +355,20 @@ def parse_table(text: str) -> HWCoefficientTable:
         if not (math.isfinite(re_v) and math.isfinite(im_v)):
             raise ValueError(f"line {lineno}: values must be finite decimal numbers, "
                              f"got {re_s!r} {im_s!r}")
-        kets.append(_mask_positions(int(ket_s, 2), n))
-        bras.append(_mask_positions(int(bra_s, 2), n))
+        keys.append((_mask_positions(int(ket_s, 2), n), _mask_positions(int(bra_s, 2), n)))
         vals.append(complex(re_v, im_v))
         linenos.append(lineno)
     if n is None:
         raise ValueError("empty table document")
-    cutoff = max((len(ket) + len(bra) for ket, bra in zip(kets, bras)), default=0)
-    width = row_width(n, cutoff)
-    kets, bras = _padded_rows(kets, n, width), _padded_rows(bras, n, width)
-    _, first, group = np.unique(void_rows(np.hstack((kets, bras))),
-                                return_index=True, return_inverse=True)
+    cutoff = max((len(ket) + len(bra) for ket, bra in keys), default=0)
+    rows = _padded_rows(keys, n, row_width(n, cutoff), 2)
+    _, first, group = np.unique(void_rows(rows), return_index=True, return_inverse=True)
     repeats = np.flatnonzero(first[group] != np.arange(len(vals)))
     if len(repeats):
         lineno = linenos[repeats[0]]
         ket_s, bra_s = lines[lineno - 1].split()[:2]
         raise ValueError(f"line {lineno}: repeated entry {ket_s} {bra_s}")
-    return HWCoefficientTable(n, cutoff, (kets, bras, np.array(vals, dtype=complex)))
+    return HWCoefficientTable(n, cutoff, (rows, np.array(vals, dtype=complex)))
 
 
 def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
@@ -394,7 +385,7 @@ def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
     entries go to `mirrored_columns`, which completes the table.
     """
     n = circuit.n
-    kets, bras, vals = [], [], []  # position lists and values, in entry order
+    keys, vals = [], []  # (ket, bra) position lists and values, in entry order
     for s in initial_strings(n, min(cutoff, n)):
         slots = s.offdiag_slots()
         if slots and slots[0][1] == MINUS:
@@ -412,9 +403,7 @@ def build_table(circuit: Circuit, cutoff: int) -> HWCoefficientTable:
                     for q in subset:
                         value *= args[q]
                     total += value
-                kets.append(sorted(plus + list(subset)))
-                bras.append(sorted(minus + list(subset)))
+                keys.append((sorted(plus + list(subset)), sorted(minus + list(subset))))
                 vals.append(total)
-    width = row_width(n, cutoff)
     return HWCoefficientTable(n, cutoff, mirrored_columns(
-        _padded_rows(kets, n, width), _padded_rows(bras, n, width), np.array(vals, dtype=complex)))
+        _padded_rows(keys, n, row_width(n, cutoff), 2), np.array(vals, dtype=complex)))

@@ -8,7 +8,7 @@ marginals are exact sparse sums, and samples are drawn one bit at a time: a
 negative child marginal forces the other branch, otherwise the bit extends
 with probability S_y0 / S_y. Outcome bit 0 encodes the |+> result, 1 encodes |->.
 
-A marginal is one numpy pass over the support's position columns: each
+A marginal is one numpy pass over the columns of the support's rows: each
 frequency's sign (or 0 when it reaches past the prefix) is gathered from a
 factor per position, and the signed values are added in entry order by a
 running sum, so every marginal is bitwise a plain sequential loop's. That is
@@ -34,11 +34,14 @@ class QuasiDistribution:
 
     coeffs[s] = sum of alpha over table entries with ket XOR bra = s, which is
     2^n * q~(s); the scaling keeps every quantity O(1) at any n. The total mass
-    sum_x q(x) equals coeffs[0]. `coeffs` is a read-only MaskView over position
-    columns; a plain mapping of int masks given here is checked and converted.
+    sum_x q(x) equals coeffs[0]. `coeffs` is a read-only MaskView of parity rows
+    on the same n; a plain mapping of int masks given here is checked and converted.
     """
 
     def __init__(self, n: int, coeffs: Mapping):
+        if isinstance(coeffs, MaskView) and (coeffs.parts, coeffs.n) != (1, n):
+            raise ValueError(f"coefficients must be a Fourier support on {n} qubits, "
+                             f"got a {coeffs.parts}-part view on {coeffs.n}")
         self.n = n
         self._coeffs = coeffs if isinstance(coeffs, MaskView) else MaskView.from_mapping(n, coeffs)
 
@@ -54,10 +57,10 @@ class QuasiDistribution:
         Columns and values start with one extra entry, frequency 0 of value 0.0,
         so an entry-order sum starts from 0.0 like a loop, also on an empty support.
         """
-        n, kets = self.n, self.coeffs.kets
+        n, rows = self.n, self.coeffs.rows
         base = np.zeros(n + 1)
         base[n] = 1.0
-        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in kets.T)
+        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in rows.T)
         return base, columns, np.concatenate(([0.0], self.coeffs.vals))
 
     def __eq__(self, other) -> bool:
@@ -87,10 +90,11 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
     NumericalError.
     """
     n, data = table.n, table.data
-    both = np.sort(np.hstack((data.kets, data.bras)), axis=1)
+    both = np.sort(data.rows, axis=1)
     twice = both[:, 1:] == both[:, :-1]  # a position in ket and bra cancels; n stays n
     both[:, 1:][twice] = both[:, :-1][twice] = n
-    parity = np.sort(both, axis=1)[:, :data.kets.shape[1]]
+    both.sort(axis=1)
+    parity = both[:, :data.rows.shape[1] // 2]
     _, first, group = np.unique(void_rows(parity), return_index=True, return_inverse=True)
     order = np.argsort(first)
     group = np.argsort(order)[group]  # renumbered by first occurrence
@@ -102,7 +106,7 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
         raise NumericalError(
             f"Fourier coefficients are not real: residual imaginary part {worst:.3g} "
             f"(Hermiticity violation in the coefficient table)")
-    return QuasiDistribution(n, MaskView(n, parity[first[order]], None, real))
+    return QuasiDistribution(n, MaskView(n, 1, parity[first[order]], real))
 
 
 # prefix bytes read as int8 factors: "0" -> +1, "1" -> -1

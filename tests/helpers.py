@@ -180,9 +180,10 @@ def gathered_g2_components(circuit):
 
 
 def closed_form_columns(n, blocks):
-    """The table of `gathered_g2_components`' blocks as (kets, bras, values), entry by entry.
+    """The table of `gathered_g2_components`' blocks as (rows, values), entry by entry.
 
-    Rows are two ascending qubit positions padded with n. Entries come in the
+    A row is the ket's two ascending qubit positions padded with n, then the
+    bra's. Entries come in the
     fast path's order: the weight-0 entry and the weight-2 diagonals, then the
     weight-1 entries per qubit and the (+,+) and (+,-) weight-2 entries per
     qubit pair. Exact zeros are left out, and each off-diagonal entry is
@@ -190,23 +191,45 @@ def closed_form_columns(n, blocks):
     part for a real v.
     """
     a00, diag_val, alpha_plus, i1, i2, alpha_pp, alpha_pm = blocks
-    entries = [([n, n], [n, n], complex(a00))]
+    entries = [([n, n, n, n], complex(a00))]
     if diag_val:
-        entries += [([q, n], [q, n], complex(diag_val)) for q in range(n)]
+        entries += [([q, n, q, n], complex(diag_val)) for q in range(n)]
 
     def mirrored(ket, bra, v):
         if v != 0:
-            entries.extend([(ket, bra, v), (bra, ket, 0.0 + v.conjugate())])
+            entries.extend([(ket + bra, v), (bra + ket, 0.0 + v.conjugate())])
 
     for q, v in enumerate(alpha_plus.tolist()):
         mirrored([q, n], [n, n], v)
     for q1, q2, pp, pm in zip(i1.tolist(), i2.tolist(), alpha_pp.tolist(), alpha_pm.tolist()):
         mirrored([q1, q2], [n, n], pp)
         mirrored([q1, n], [q2, n], pm)
-    kets, bras, values = zip(*entries)
-    return np.array(kets), np.array(bras), np.array(values)
+    rows, values = zip(*entries)
+    return np.array(rows), np.array(values)
 
 
 def position_mask(n, row):
     """The n-bit mask of a row of qubit positions padded with n, qubit 0 on top."""
     return sum(1 << (n - 1 - q) for q in row if q < n)
+
+
+def decoded_rows(view):
+    """{key row: key} of a MaskView, decoded in plain Python.
+
+    Asserts the one layout of tables and supports: int32 rows whose `parts`
+    equal parts (ket then bra in a table, the parity in a support) each hold
+    ascending distinct qubit positions padded with the sentinel n.
+    """
+    n, rows = view.n, view.rows
+    assert rows.dtype == np.int32 and rows.ndim == 2 and rows.shape[1] % view.parts == 0
+    width = rows.shape[1] // view.parts
+    out = {}
+    for row, key in zip(rows.tolist(), view):
+        parts = [row[at:at + width] for at in range(0, len(row), width)]
+        for part in parts:
+            positions = [q for q in part if q != n]
+            assert part == sorted(set(positions)) + [n] * (width - len(positions))
+        masks = tuple(position_mask(n, part) for part in parts)
+        assert masks == (key if view.parts == 2 else (key,))
+        out[tuple(row)] = key
+    return out

@@ -227,7 +227,7 @@ def test_ac9_large_instance_performance():
     expected = table_size_bound(n, 2)
 
     start = time.time()
-    kets, bras, values = g2_low_weight_coefficients(c, 2)
+    rows, values = g2_low_weight_coefficients(c, 2)
     columnar = time.time() - start
     start = time.time()
     table = g2_low_weight_table(c, 2)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import closed_form_columns, gathered_g2_components, position_mask
+from helpers import closed_form_columns, decoded_rows, gathered_g2_components, position_mask
 from iqpdamp.circuit_model import CPHASE, RZ, Circuit, Gate, idle_circuit, random_circuit
 from iqpdamp.fastpath import (
     build_table_auto,
@@ -12,7 +12,8 @@ from iqpdamp.fastpath import (
     g2_low_weight_coefficients,
     g2_low_weight_table,
 )
-from iqpdamp.hw_basis import build_table
+from iqpdamp.hw_basis import HWCoefficientTable, build_table, parse_table
+from iqpdamp.sampler import QuasiDistribution, fourier_table
 
 
 def tables_agree(a, b, tol=1e-12):
@@ -74,12 +75,22 @@ def test_idle_closed_forms():
 
 def test_columnar_and_table_forms_agree():
     c = random_circuit(7, 9, 0.4, seed=2)
-    kets, bras, values = g2_low_weight_coefficients(c, 2)
+    rows, values = g2_low_weight_coefficients(c, 2)
     t = g2_low_weight_table(c, 2)
-    assert len(kets) == len(bras) == len(values) == len(t)
-    for ket, bra, v in zip(kets.tolist(), bras.tolist(), values):
+    assert len(rows) == len(values) == len(t)
+    for row, v in zip(rows.tolist(), values):
+        ket, bra = row[:2], row[2:]
         assert ket == sorted(ket) and bra == sorted(bra)
         assert t.get(position_mask(c.n, ket), position_mask(c.n, bra)) == v
+    # every table source lays out the same key rows, and so does every support source
+    rekeyed = HWCoefficientTable(c.n, 2)
+    rekeyed.data = dict(t.data.items())
+    layout = decoded_rows(t.data)
+    for other in (build_table(c, 2), parse_table("".join(t.serialize())), rekeyed):
+        assert decoded_rows(other.data) == layout
+    qd = fourier_table(t)
+    rebuilt = QuasiDistribution(c.n, dict(qd.coeffs.items()))
+    assert decoded_rows(rebuilt.coeffs) == decoded_rows(qd.coeffs)
 
 
 def test_hermitian_and_sized_like_general_table():
@@ -102,6 +113,23 @@ def test_rejects_unsupported_inputs():
         for builder in (build_table, g2_low_weight_table):
             with pytest.raises(ValueError, match=r"p must lie in \(0,1\]"):
                 builder(bad_p, 2)
+    # gates that `propagate` refuses, in circuits built without `validate`
+    refused = [
+        (4, Gate(CPHASE, (1, 1), 0.3), ValueError, "duplicate target"),
+        (4, Gate(CPHASE, (-1, 2), 0.3), IndexError, "out of range"),
+        (3, Gate(CPHASE, (0, 5), 0.3), IndexError, "out of range"),
+        (4, Gate(RZ, (-1,), 0.3), IndexError, "out of range"),
+        (4, Gate("cx", (0, 1), 0.3), ValueError, "unknown gate kind"),
+    ]
+    for n, gate, error, message in refused:
+        circuit = Circuit(n, 2, 0.2, ((Gate(CPHASE, (0, 1), 0.5), gate), ()))
+        assert fast_applicable(circuit, 2)
+        for builder in (build_table, g2_low_weight_table):
+            with pytest.raises(error, match=message):
+                builder(circuit, 2)
+    one_target = Circuit(4, 1, 0.2, ((Gate(CPHASE, (2,), 0.3),),))
+    with pytest.raises(ValueError, match="cphase takes >= 2 targets, got 1"):
+        g2_low_weight_table(one_target, 2)
 
 
 def test_fast_applicable_predicate():
@@ -139,12 +167,12 @@ def test_medium_size_smoke():
 @pytest.mark.parametrize("n, d, p", [(130, 12, 0.3), (600, 45, 0.5)])
 def test_gram_products_match_the_gathered_reference(n, d, p):
     circuit = random_circuit(n, d, p, seed=5)
-    kets, bras, values = g2_low_weight_coefficients(circuit, 2)
-    ref_kets, ref_bras, expected = closed_form_columns(n, gathered_g2_components(circuit))
-    assert np.array_equal(kets, ref_kets) and np.array_equal(bras, ref_bras)
+    rows, values = g2_low_weight_coefficients(circuit, 2)
+    ref_rows, expected = closed_form_columns(n, gathered_g2_components(circuit))
+    assert np.array_equal(rows, ref_rows)
     assert values.dtype == expected.dtype
     # only the shared-partner sums run in another order: the weight-2 off-diagonal values
-    moved = ((kets < n).sum(axis=1) + (bras < n).sum(axis=1) == 2) & (kets != bras).any(axis=1)
+    moved = ((rows < n).sum(axis=1) == 2) & (rows[:, :2] != rows[:, 2:]).any(axis=1)
     np.testing.assert_allclose(values[moved], expected[moved], rtol=1e-12, atol=0)
     assert values[~moved].tobytes() == expected[~moved].tobytes()
 

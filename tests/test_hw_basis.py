@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import decoded_rows
 from iqpdamp import hw_basis
 from iqpdamp.bounds import coefficient_bound, table_size_bound
 from iqpdamp.circuit_model import idle_circuit, random_circuit
@@ -186,15 +187,16 @@ def test_mirrored_table_is_exactly_hermitian():
 
 
 def test_mirrored_columns_drops_zeros_and_puts_each_mirror_next():
-    kets = np.array([[3, 3], [0, 3], [1, 3], [0, 1], [2, 3]], dtype=hw_basis.POSITION)
-    bras = np.array([[3, 3], [3, 3], [1, 3], [2, 3], [3, 3]], dtype=hw_basis.POSITION)
+    rows = np.array([[3, 3, 3, 3], [0, 3, 3, 3], [1, 3, 1, 3], [0, 1, 2, 3], [2, 3, 3, 3]],
+                    dtype=hw_basis.POSITION)
     vals = np.array([0.5, 0.25, 0.0, 1.0 - 2.0j, 0.0])
-    got_kets, got_bras, got_vals = hw_basis.mirrored_columns(kets, bras, vals)
-    assert got_kets.tolist() == [[3, 3], [0, 3], [3, 3], [0, 1], [2, 3]]
-    assert got_bras.tolist() == [[3, 3], [3, 3], [0, 3], [2, 3], [0, 1]]
+    got_rows, got_vals = hw_basis.mirrored_columns(rows, vals)
+    # a mirror's row is its entry's row with the ket and bra halves swapped
+    assert got_rows.tolist() == [[3, 3, 3, 3], [0, 3, 3, 3], [3, 3, 0, 3], [0, 1, 2, 3],
+                                 [2, 3, 0, 1]]
     # repr tells +0j from -0j: a real entry's mirror is +0.0j
     assert repr(got_vals.tolist()) == repr([0.5 + 0j, 0.25 + 0j, 0.25 + 0j, 1 - 2j, 1 + 2j])
-    assert got_kets.dtype == got_bras.dtype == hw_basis.POSITION
+    assert got_rows.dtype == hw_basis.POSITION
 
 
 @pytest.mark.parametrize("circuit,k", [
@@ -206,7 +208,13 @@ def test_mirrored_columns_drops_zeros_and_puts_each_mirror_next():
 def test_every_builder_puts_each_mirror_right_after_its_entry(circuit, k):
     builders = [build_table, g2_low_weight_table] if fast_applicable(circuit, k) else [build_table]
     for build in builders:
-        entries = list(build(circuit, k).data.items())
+        table = build(circuit, k)
+        entries = list(table.data.items())
+        # the data setter and parse_table lay out the same key rows as the builder
+        rekeyed = HWCoefficientTable(circuit.n, k)
+        rekeyed.data = dict(entries)
+        parsed = parse_table("".join(table.serialize()))
+        assert decoded_rows(rekeyed.data) == decoded_rows(parsed.data) == decoded_rows(table.data)
         assert all(v != 0 for _, v in entries)
         at = 0
         while at < len(entries):

@@ -23,9 +23,10 @@ def reference_entries(circuit, k):
     the gathered reference in `helpers`.
     """
     n = circuit.n
-    kets, bras, values = g2_low_weight_coefficients(circuit, k)
-    return {(position_mask(n, ket), position_mask(n, bra)): v
-            for ket, bra, v in zip(kets.tolist(), bras.tolist(), values.tolist())}
+    rows, values = g2_low_weight_coefficients(circuit, k)
+    half = rows.shape[1] // 2
+    return {(position_mask(n, row[:half]), position_mask(n, row[half:])): v
+            for row, v in zip(rows.tolist(), values.tolist())}
 
 
 def test_columns_past_61_qubits_match_a_plain_dict_reference():
@@ -54,7 +55,8 @@ def test_plain_dict_assigned_to_table_is_rekeyed():
     t.data = {(0, 0): 1.0, (top, 0): 0.25 + 0.5j, (0, top): 0.25 - 0.5j,
               (top, low): 0.125j, (low, top): -0.125j, (low, low): 0.0625}
     assert isinstance(t.data, MaskView)
-    assert t.data.kets.tolist() == [[70, 70], [0, 70], [70, 70], [0, 70], [69, 70], [69, 70]]
+    assert t.data.rows.tolist() == [[70, 70, 70, 70], [0, 70, 70, 70], [70, 70, 0, 70],
+                                    [0, 70, 69, 70], [69, 70, 0, 70], [69, 70, 69, 70]]
     assert t.get(top, 0) == 0.25 + 0.5j
     assert t.get(top, top) == 0.0
     qd = fourier_table(t)
@@ -185,7 +187,7 @@ def test_row_keys_group_and_locate_rows_as_wholes(width, key_type):
     assert first[group].tolist() == [first_seen[row] for row in map(tuple, rows.tolist())]
 
     distinct = rows[np.sort(first)]
-    view = MaskView(5, distinct, None, np.arange(len(distinct), dtype=float))
+    view = MaskView(5, 1, distinct, np.arange(len(distinct), dtype=float))
     probe = np.vstack((rows, np.full((1, width), 6, dtype=np.int32)))  # the last row is absent
     at = {row: j for j, row in enumerate(map(tuple, distinct.tolist()))}
     assert view.locate(probe).tolist() == [at.get(row, -1) for row in map(tuple, probe.tolist())]

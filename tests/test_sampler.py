@@ -55,6 +55,16 @@ def test_fourier_table_rejects_non_hermitian():
         fourier_table(t)
 
 
+def test_quasi_distribution_refuses_a_view_it_cannot_read():
+    table = build_table(random_circuit(3, 4, 0.3, seed=1), 2)
+    support = fourier_table(table).coeffs
+    assert QuasiDistribution(3, support).coeffs is support
+    # a table's rows hold ket then bra positions, not parities; another n reads other qubits
+    for n, view in ((3, table.data), (5, support), (2, support)):
+        with pytest.raises(ValueError, match="Fourier support on"):
+            QuasiDistribution(n, view)
+
+
 def test_marginal_uniform_and_bad_prefix():
     qd = uniform_qd(4)
     for prefix in ("", "0", "10", "111", "0101"):
@@ -87,7 +97,7 @@ def support_2local_n32():
 
 def support_3local():
     table = build_table_auto(random_circuit(6, 5, 0.9, locality=3, seed=0), 4)
-    assert table.data.kets.shape[1] == 4
+    assert table.data.rows.shape[1] == 8
     return fourier_table(table)
 
 
@@ -253,7 +263,7 @@ def test_nonpositive_mass_is_rejected():
     with pytest.raises(NumericalError, match="nonpositive mass"):
         induced_distribution(QuasiDistribution(2, {0: -0.5}))
     # a builder's NaN comes as columns, which skip the mapping entry point's checks
-    nan = QuasiDistribution(2, MaskView(2, np.full((1, 1), 2, dtype=POSITION), None,
+    nan = QuasiDistribution(2, MaskView(2, 1, np.full((1, 1), 2, dtype=POSITION),
                                         np.array([math.nan])))
     with pytest.raises(NumericalError, match="nonpositive mass nan"):
         sample(nan, 3, seed=0)
@@ -262,7 +272,7 @@ def test_nonpositive_mass_is_rejected():
     with pytest.raises(ValueError):
         sample(uniform_qd(2), -1, seed=0)
     # a NaN at any frequency reaches every marginal, the total mass included
-    nan_off_root = QuasiDistribution(2, MaskView(2, np.array([[2], [0]], dtype=POSITION), None,
+    nan_off_root = QuasiDistribution(2, MaskView(2, 1, np.array([[2], [0]], dtype=POSITION),
                                                  np.array([1.0, math.nan])))
     with pytest.raises(NumericalError, match="nonpositive mass nan"):
         sample(nan_off_root, 3, seed=0)
