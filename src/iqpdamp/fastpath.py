@@ -125,6 +125,8 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
             if gate.locality > 2:
                 raise ValueError("fast path requires 1- and 2-local gates only")
             if gate.kind == RZ:
+                if gate.locality != 1:
+                    raise ValueError(f"rz takes exactly 1 target, got {gate.locality}")
                 if not 0 <= gate.targets[0] < n:  # refused as propagate does: a negative index wraps
                     raise IndexError(f"target {gate.targets[0]} out of range [0, {n})")
                 theta_rz[gate.targets[0]] += gate.theta

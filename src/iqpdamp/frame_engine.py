@@ -257,6 +257,8 @@ def propagate(s: FrameString, circuit: Circuit) -> list[FrameString]:
     for layer in circuit.layers:
         for g in layer:
             if g.kind == RZ:
+                if g.locality != 1:
+                    raise ValueError(f"rz takes exactly 1 target, got {g.locality}")
                 phase += _rotation_phase(s, g.targets[0], g.theta)
             elif g.kind == CPHASE:
                 nxt: list[FrameString] = []

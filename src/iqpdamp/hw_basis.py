@@ -147,11 +147,11 @@ def void_rows(rows: np.ndarray) -> np.ndarray:
 class MaskView(Mapping):
     """Read-only mapping over the key rows of a table (parts = 2) or a Fourier support (parts = 1).
 
-    A support row holds its parity's positions, padded like each half of a
-    table row; `vals[i]` is entry i's value. Reads see (ket, bra) pairs of int
-    masks or int masks, with Python complex or float values, in entry order;
-    iteration converts a chunk of entries at a time. A lookup binary-searches
-    the rows, sorted on first use.
+    A support row holds its parity's positions, ascending and padded with n
+    to the longest parity (at least 1); `vals[i]` is entry i's value. Reads
+    see (ket, bra) pairs of int masks or int masks, with Python complex or
+    float values, in entry order; iteration converts a chunk of entries at a
+    time. A lookup binary-searches the rows, sorted on first use.
     """
 
     def __init__(self, n: int, parts: int, rows: np.ndarray, vals: np.ndarray):

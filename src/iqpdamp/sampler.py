@@ -8,11 +8,13 @@ marginals are exact sparse sums, and samples are drawn one bit at a time: a
 negative child marginal forces the other branch, otherwise the bit extends
 with probability S_y0 / S_y. Outcome bit 0 encodes the |+> result, 1 encodes |->.
 
-A marginal is one numpy pass over the columns of the support's rows: each
-frequency's sign (or 0 when it reaches past the prefix) is gathered from a
-factor per position, and the signed values are added in entry order by a
-running sum, so every marginal is bitwise a plain sequential loop's. That is
-O(support * row width) numpy work per call.
+A marginal reads only the frequencies its prefix can see. The sampler keeps
+the support's rows in level order, stably by each frequency's highest qubit
+position, so a prefix of k bits sees exactly the first ends[k] of them; any
+other frequency would add an exact 0. Each visible frequency's sign is
+gathered from a factor per position, and the signed values are added in level
+order by a running sum, so every marginal is bitwise a plain sequential loop's
+in that order. That is O(visible frequencies * row width) numpy work per call.
 """
 
 from __future__ import annotations
@@ -50,18 +52,24 @@ class QuasiDistribution:
         return self._coeffs
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-        """(base factor, contiguous parity columns, values), made once for `marginal`.
+    def _columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
+        """(contiguous parity columns, values, ends), made once for `marginal`.
 
-        The base factor is 0 at every qubit position and 1 at the sentinel n.
-        Columns and values start with one extra entry, frequency 0 of value 0.0,
-        so an entry-order sum starts from 0.0 like a loop, also on an empty support.
+        Columns and values are in level order: stably by each frequency's
+        highest qubit position, frequency 0 first. ends[k] counts the
+        frequencies whose positions all lie below k, so a prefix of k bits sees
+        exactly the first ends[k]; the block [ends[q], ends[q + 1]) holds the
+        frequencies whose highest position is q. Columns and values start with
+        one extra entry, frequency 0 of value 0.0, so a level-order sum starts
+        from 0.0 like a loop, also on an empty support.
         """
         n, rows = self.n, self.coeffs.rows
-        base = np.zeros(n + 1)
-        base[n] = 1.0
-        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in rows.T)
-        return base, columns, np.concatenate(([0.0], self.coeffs.vals))
+        # one more than the highest position below n (rows ascend, padded with n); 0 for frequency 0
+        level = np.where(rows < n, rows + 1, 0).max(axis=1, initial=0).astype(np.min_scalar_type(n))
+        order = np.argsort(level, kind="stable")  # a radix sort on 8- and 16-bit keys
+        ends = np.cumsum(np.bincount(level, minlength=n + 1)).tolist()
+        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in rows[order].T)
+        return columns, np.concatenate(([0.0], self.coeffs.vals[order])), ends
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiDistribution):
@@ -85,9 +93,10 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
     Each entry (a, b) lands on frequency a XOR b, whose positions are the
     symmetric difference of the entry's ket and bra positions. Frequencies
     keep the order of their first entry and each sum runs in entry order.
-    Hermitian partners make every accumulated coefficient real. Residual
-    imaginary parts above IMAG_TOL (relative to the largest coefficient) raise
-    NumericalError.
+    Support rows are as wide as the longest parity, as `MaskView.from_mapping`
+    pads them, so the same support always gets the same rows. Hermitian
+    partners make every accumulated coefficient real. Residual imaginary parts
+    above IMAG_TOL (relative to the largest coefficient) raise NumericalError.
     """
     n, data = table.n, table.data
     both = np.sort(data.rows, axis=1)
@@ -106,7 +115,9 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
         raise NumericalError(
             f"Fourier coefficients are not real: residual imaginary part {worst:.3g} "
             f"(Hermiticity violation in the coefficient table)")
-    return QuasiDistribution(n, MaskView(n, 1, parity[first[order]], real))
+    distinct = parity[first[order]]
+    width = max(1, int((distinct < n).sum(axis=1).max(initial=0)))
+    return QuasiDistribution(n, MaskView(n, 1, np.ascontiguousarray(distinct[:, :width]), real))
 
 
 # prefix bytes read as int8 factors: "0" -> +1, "1" -> -1
@@ -117,12 +128,15 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     """Exact S_y = sum of q(x) over all completions of the bit prefix y.
 
     Sparse Parseval sum: only frequencies supported on the prefix qubits
-    survive the average over completions. A factor per position holds
-    (-1)^y_q on the prefix, 0 past it and 1 at the sentinel; the product of
-    its gathers through the parity columns signs each coefficient or zeroes
-    it. The terms are added in entry order by `np.add.accumulate` (a running
-    sum; `np.sum` would add pairwise), so over finite coefficients the result
-    is bitwise a sequential loop's. O(support * row width) numpy work per call.
+    survive the average over completions, and in level order those are the
+    first ends[len(y)] of the support (`QuasiDistribution._columns`); the rest
+    would each add an exact 0. An int8 factor per position holds (-1)^y_q on
+    the prefix and 1 from there on, the sentinel n included; the product of
+    its gathers through the parity columns signs each visible coefficient. The
+    terms are added in level order by `np.add.accumulate` (a running sum;
+    `np.sum` would add pairwise), so over finite coefficients the result is
+    bitwise a sequential loop's in that order. O(visible frequencies * row
+    width) numpy work per call.
     """
     k = len(prefix)
     n = qd.n
@@ -130,18 +144,22 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
         raise ValueError(f"prefix longer than n={n}: {prefix!r}")
     if prefix.strip("01"):
         raise ValueError(f"prefix must consist of 0s and 1s, got {prefix!r}")
-    base, columns, vals = qd._columns
-    factor = base.copy()
-    factor[:k] = np.frombuffer(prefix.encode().translate(_SIGNS), np.int8)
-    term = vals * factor.take(columns[0])
+    columns, vals, ends = qd._columns
+    seen = ends[k] + 1  # the leading 0.0 and the frequencies the prefix sees
+    factor = np.frombuffer((prefix + "0" * (n + 1 - k)).encode().translate(_SIGNS), np.int8)
+    sign = factor.take(columns[0][:seen])
     for column in columns[1:]:
-        term *= factor.take(column)
-    return float(np.add.accumulate(term)[-1]) / 2.0 ** k
+        sign *= factor.take(column[:seen])
+    return float(np.add.accumulate(vals[:seen] * sign)[-1]) / 2.0 ** k
 
 
 def _mass(qd: QuasiDistribution) -> float:
-    """The root marginal, which is the total mass; NumericalError unless it is > 0 (NaN is not)."""
-    root = marginal(qd, "")
+    """The root marginal, which is the total mass; NumericalError unless it is > 0 (NaN is not).
+
+    The root sees frequency 0 alone, so a non-finite coefficient anywhere is
+    reported as mass nan: some deeper marginal would read it.
+    """
+    root = marginal(qd, "") if np.isfinite(qd.coeffs.vals).all() else np.nan
     if not root > 0.0:
         raise NumericalError(f"quasidistribution has nonpositive mass {root:.6g}")
     return root
@@ -168,19 +186,22 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
            audit: list | None = None) -> list[str]:
     """Draw `count` outcome strings, deterministically in `seed`.
 
-    Bits follow `_decide`, with one random number per unforced decision. When
-    `audit` is a list, every decision is appended as (prefix, S_y0, S_y1, forced).
+    Bits follow `_decide`, with one random number per unforced decision. The
+    child marginals of prefixes shorter than count.bit_length() + 3 bits are
+    cached, so the cache holds O(count) entries; deeper prefixes seldom recur.
+    When `audit` is a list, every decision is appended as (prefix, S_y0, S_y1, forced).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     root = _mass(qd)
     rng = np.random.default_rng(seed)
     cache: dict[str, float] = {}
+    shallow = count.bit_length() + 3
     out = []
     for _ in range(count):
         y, s_y = "", root
         for _bit in range(qd.n):
-            s0, s1, bit = _decide(qd, y, cache)
+            s0, s1, bit = _decide(qd, y, cache if len(y) < shallow else {})
             if audit is not None:
                 audit.append((y, s0, s1, bit))
             if bit is None:

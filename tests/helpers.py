@@ -86,17 +86,22 @@ def hs_distance(a, b):
     return float(np.linalg.norm(a - b))
 
 
-def plain_marginal(qd, prefix):
+def plain_marginal(qd, prefix, level_order=True):
     """The prefix marginal as a sequential loop over a plain int-keyed dict of the coefficients.
 
-    The reference for `sampler.marginal`, which must give the same float bit for bit.
+    The reference for `sampler.marginal`, which must give the same float bit for
+    bit. The loop runs in level order: stably by each frequency's highest qubit
+    position (the lowest set bit of its mask), frequency 0 first, then in
+    support order. With level_order=False it runs in support order.
     """
     k, n = len(prefix), qd.n
     y = int(prefix, 2) if k else 0
     shift = n - k
     suffix_mask = (1 << shift) - 1
     total = 0.0
-    for s, c in dict(qd.coeffs.items()).items():
+    level = lambda item: item[0] and n + 1 - (item[0] & -item[0]).bit_length()
+    items = dict(qd.coeffs.items()).items()
+    for s, c in sorted(items, key=level) if level_order else items:
         if s & suffix_mask:
             continue
         total += -c if ((y << shift) & s).bit_count() & 1 else c

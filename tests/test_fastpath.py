@@ -120,6 +120,8 @@ def test_rejects_unsupported_inputs():
         (3, Gate(CPHASE, (0, 5), 0.3), IndexError, "out of range"),
         (4, Gate(RZ, (-1,), 0.3), IndexError, "out of range"),
         (4, Gate("cx", (0, 1), 0.3), ValueError, "unknown gate kind"),
+        (4, Gate(RZ, (0, 1), 0.3), ValueError, "rz takes exactly 1 target, got 2"),
+        (4, Gate(RZ, (), 0.3), ValueError, "rz takes exactly 1 target, got 0"),
     ]
     for n, gate, error, message in refused:
         circuit = Circuit(n, 2, 0.2, ((Gate(CPHASE, (0, 1), 0.5), gate), ()))

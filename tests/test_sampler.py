@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,56 @@ def test_marginal_is_bitwise_the_plain_loop_at_every_prefix_length(make):
             assert repr(marginal(qd, bits[:length])) == repr(plain_marginal(qd, bits[:length]))
 
 
+def one_entry_support():
+    # p = 1 damps every sigma away: the support is frequency 0 alone
+    return fourier_table(build_table_auto(random_circuit(4, 3, 1.0, seed=0), 2))
+
+
+@pytest.mark.parametrize("make", [one_entry_support, support_2local_n32, support_3local, support_n70],
+                         ids=["n4-p1", "2local-n32", "3local-k4", "n70"])
+def test_a_support_has_the_same_rows_from_a_table_and_from_a_mapping(make, monkeypatch):
+    qd = make()
+    rebuilt = QuasiDistribution(qd.n, dict(qd.coeffs.items()))
+    rows = qd.coeffs.rows
+    assert rows.shape == rebuilt.coeffs.rows.shape and rows.tobytes() == rebuilt.coeffs.rows.tobytes()
+    assert rows.shape[1] == max(1, max(s.bit_count() for s in qd.coeffs))
+
+    def no_single_lookups(self, key):
+        raise AssertionError("rows of one width compare without single-key lookups")
+
+    monkeypatch.setattr(MaskView, "__getitem__", no_single_lookups)
+    assert qd == rebuilt and rebuilt == qd
+
+
+LEVEL_CASES = [(n, width) for n in (1, 3, 9, 40, 64, 70) for width in (1, 2, 3, 4) if width <= n]
+
+
+@pytest.mark.parametrize("n, width", LEVEL_CASES, ids=[f"n{n}-w{w}" for n, w in LEVEL_CASES])
+def test_marginal_reads_only_the_frequencies_its_prefix_sees(n, width):
+    rng = np.random.default_rng(100 * n + width)
+    entries = {0: 0.5} if n % 2 else {}
+    for size in [width] + rng.integers(1, width + 1, size=59).tolist():
+        positions = rng.choice(n, size=size, replace=False).tolist()
+        entries[sum(1 << (n - 1 - q) for q in positions)] = float(rng.normal())
+    keys = list(entries)
+    rng.shuffle(keys)
+    entries = {s: entries[s] for s in keys}
+    entries[keys[0]] = -0.0
+    qd = QuasiDistribution(n, entries)
+    assert qd.coeffs.rows.shape[1] == width
+    # ends[k] counts the frequencies whose positions all lie below k
+    assert qd._columns[2] == [sum(1 for s in entries if not s & ((1 << (n - k)) - 1))
+                              for k in range(n + 1)]
+    for bits in ("0" * n, "1" * n, "".join(rng.choice(["0", "1"], size=n))):
+        for length in range(n + 1):
+            got = marginal(qd, bits[:length])
+            assert repr(got) == repr(plain_marginal(qd, bits[:length]))
+            # the support-order sum differs by rounding alone: at most 2 m u sum|v| / 2^k
+            seen = [abs(v) for s, v in entries.items() if not s & ((1 << (n - length)) - 1)]
+            bound = 2 * len(seen) * 2.0 ** -53 * sum(seen) / 2.0 ** length
+            assert abs(got - plain_marginal(qd, bits[:length], level_order=False)) <= bound
+
+
 def test_sampler_follows_the_plain_loop(monkeypatch):
     wide, small = support_2local_n32(), support_3local()
     draws = (sample(wide, 200, seed=3), sample(small, 200, seed=4))
@@ -241,6 +292,28 @@ def test_induced_equals_born_when_exact():
     audit = []
     sample(qd, 16, seed=3, audit=audit)
     assert all(forced is None for _, _, _, forced in audit)
+
+
+@pytest.mark.parametrize("n, locality", [(3, 2), (6, 2), (7, 3), (8, 2)])
+def test_induced_distribution_is_born_at_full_cutoff(n, locality):
+    c = random_circuit(n, 5, 0.3, locality=locality, seed=n)
+    induced = induced_distribution(fourier_table(build_table(c, 2 * n)))
+    born = born_distribution(evolve_dense(c))
+    assert max(abs(induced.get(format(x, f"0{n}b"), 0.0) - born[x]) for x in range(1 << n)) < 1e-12
+
+
+def test_prefix_cache_memory_grows_with_draws_not_with_n():
+    qd = uniform_qd(60)
+    sample(qd, 1, seed=0)  # the columns are made before tracing
+    tracemalloc.start()
+    try:
+        draws = sample(qd, 400, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(draws)) == 400
+    # caching every child prefix took about 15 KB a draw here
+    assert peak < 2000 * len(draws)
 
 
 def test_induced_distribution_sums_to_one():
