@@ -2,7 +2,9 @@
 
 A circuit is d layers of commuting diagonal gates (single-qubit Z rotations and
 multi-qubit controlled phases) acting on n qubits, with an amplitude-damping
-channel of strength p applied to every qubit after each layer.
+channel of strength p applied to every qubit after each layer. Every `Circuit`
+is valid by construction: `validate` is the one home of that rule, and building
+a circuit it flags raises `CircuitFormatError`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ FLOAT_FMT = ".17g"
 
 
 class CircuitFormatError(ValueError):
-    """Raised on malformed circuit documents (carries line/column info)."""
+    """Raised on malformed circuits and circuit documents (with line/column info for the latter)."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         loc = ""
@@ -54,7 +56,9 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable n-qubit, d-layer noisy IQP circuit with damping strength p."""
+    """Immutable n-qubit, d-layer noisy IQP circuit with damping strength p.
+
+    Raises CircuitFormatError, carrying every problem `validate` reports, if invalid."""
 
     n: int
     d: int
@@ -63,6 +67,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
+        problems = validate(self)
+        if problems:
+            raise CircuitFormatError("; ".join(problems))
 
     def gates(self):
         """Yield (layer_index, gate) over the whole circuit."""
@@ -72,7 +79,9 @@ class Circuit:
 
 
 def validate(circuit: Circuit) -> list[str]:
-    """Return every invariant violation as a human-readable string; empty means valid."""
+    """Return every invariant violation as a human-readable string; empty means valid.
+
+    `Circuit` runs this on construction, so a built circuit always passes."""
     problems: list[str] = []
     if circuit.n < 1:
         problems.append(f"n must be >= 1, got {circuit.n}")
@@ -209,11 +218,7 @@ def parse_circuit(text: str) -> Circuit:
     if header is None:
         raise CircuitFormatError("empty document: missing 'iqp' header")
     n, d, p = header
-    circuit = Circuit(n=n, d=d, p=p, layers=tuple(tuple(l) for l in layers))
-    problems = validate(circuit)
-    if problems:
-        raise CircuitFormatError("; ".join(problems))
-    return circuit
+    return Circuit(n=n, d=d, p=p, layers=tuple(tuple(l) for l in layers))
 
 
 def random_circuit(n: int, d: int, p: float, locality: int = 2, seed: int = 0) -> Circuit:

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .circuit_model import CPHASE, RZ, Circuit
+from .circuit_model import RZ, Circuit
 from .hw_basis import POSITION, HWCoefficientTable, build_table, mirrored_columns, row_width
 
 
@@ -110,13 +110,13 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
     `hw_basis.mirrored_columns`: the weight-0 entry and the weight-2 diagonals,
     then the weight-1 entries per qubit and the (+,+) and (+,-) weight-2 entries
     per qubit pair, in ascending order. rows are `hw_basis` key rows; values is
-    a complex array aligned with them.
+    a complex array aligned with them. The circuit is valid by construction, so
+    its gates are read unchecked; a cutoff above 2 or a gate of more than 2
+    targets raises ValueError.
     """
     if not (0 <= cutoff <= 2):
         raise ValueError(f"fast path covers cutoff <= 2, got {cutoff}")
     n, d, p = circuit.n, circuit.d, circuit.p
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0,1], got {p}")
 
     theta_rz = np.zeros(n)
     keys, layer_of, thetas = [], [], []  # per controlled phase on q1 < q2: q1 * n + q2, layer, angle
@@ -125,21 +125,9 @@ def g2_low_weight_coefficients(circuit: Circuit, cutoff: int):
             if gate.locality > 2:
                 raise ValueError("fast path requires 1- and 2-local gates only")
             if gate.kind == RZ:
-                if gate.locality != 1:
-                    raise ValueError(f"rz takes exactly 1 target, got {gate.locality}")
-                if not 0 <= gate.targets[0] < n:  # refused as propagate does: a negative index wraps
-                    raise IndexError(f"target {gate.targets[0]} out of range [0, {n})")
                 theta_rz[gate.targets[0]] += gate.theta
-            elif gate.kind != CPHASE:
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
-            elif gate.locality < 2:
-                raise ValueError(f"cphase takes >= 2 targets, got {gate.locality}")
             else:
                 q1, q2 = sorted(gate.targets)
-                if q1 == q2:
-                    raise ValueError(f"duplicate target in {gate.targets}")
-                if q1 < 0 or q2 >= n:  # the key q1 * n + q2 would name another pair
-                    raise IndexError(f"target {q1 if q1 < 0 else q2} out of range [0, {n})")
                 keys.append(q1 * n + q2)
                 layer_of.append(li)
                 thetas.append(gate.theta)

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .circuit_model import CPHASE, RZ, Circuit
+from .circuit_model import RZ, Circuit
 
 PLUS = 1    # sigma_plus = |1><0|
 MINUS = -1  # sigma_minus = |0><1|
@@ -257,16 +257,12 @@ def propagate(s: FrameString, circuit: Circuit) -> list[FrameString]:
     for layer in circuit.layers:
         for g in layer:
             if g.kind == RZ:
-                if g.locality != 1:
-                    raise ValueError(f"rz takes exactly 1 target, got {g.locality}")
                 phase += _rotation_phase(s, g.targets[0], g.theta)
-            elif g.kind == CPHASE:
+            else:
                 nxt: list[FrameString] = []
                 for b in work:
                     nxt.extend(llocal_branch(b, g.targets, g.theta))
                 work = nxt if len(nxt) == len(work) else _merge_equal(nxt)
-            else:
-                raise ValueError(f"unknown gate kind {g.kind!r}")
         work = [apply_damping_layer(b, circuit.p) for b in work]
         work = [b for b in work if b.log_beta.real != -math.inf]
     if phase:

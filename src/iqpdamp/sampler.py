@@ -223,14 +223,13 @@ def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
     if qd.n > INDUCED_N_CAP:
         raise ValueError(f"induced_distribution capped at n <= {INDUCED_N_CAP}")
     root = _mass(qd)
-    cache: dict[str, float] = {}
     out: dict[str, float] = {}
 
     def walk(prefix: str, prob: float, s_y: float) -> None:
         if len(prefix) == qd.n:
             out[prefix] = prob
             return
-        s0, s1, bit = _decide(qd, prefix, cache)
+        s0, s1, bit = _decide(qd, prefix, {})  # each prefix is decided once
         if bit is not None:
             walk(prefix + bit, prob, s0 if bit == "0" else s1)
             return

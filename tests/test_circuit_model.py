@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,9 +99,8 @@ def test_header_fields_are_known_and_given_once(header, location, message):
 
 
 def test_validate_flags_layer_collision():
-    c = Circuit(2, 1, 0.5, ((Gate(RZ, (0,), 0.1), Gate(CPHASE, (0, 1), 0.2)),))
-    msgs = validate(c)
-    assert any("qubit 0 used by two gates" in m for m in msgs)
+    with pytest.raises(CircuitFormatError, match="^layer 0: qubit 0 used by two gates$"):
+        Circuit(2, 1, 0.5, ((Gate(RZ, (0,), 0.1), Gate(CPHASE, (0, 1), 0.2)),))
 
 
 @pytest.mark.parametrize(
@@ -109,15 +109,29 @@ def test_validate_flags_layer_collision():
         (Gate("h", (0,), 0.1), "layer 0: unknown gate kind 'h'"),
         (Gate(RZ, (0, 1), 0.1), "layer 0: rz takes exactly 1 target, got 2"),
         (Gate(CPHASE, (0,), 0.1), "layer 0: cphase takes >= 2 targets, got 1"),
+        (Gate(RZ, (0,), math.nan), "layer 0: non-finite angle nan"),
+        (Gate(RZ, (2,), 0.1), "layer 0: target 2 out of range [0, 2)"),
+        (Gate(CPHASE, (-1, 1), 0.1), "layer 0: target -1 out of range [0, 2)"),
+        (lambda: Circuit(2, 1, 0.5, ((Gate(RZ, (1,), 0.1), Gate(RZ, (1,), 0.2)),)),
+         "layer 0: qubit 1 used by two gates"),
+        (lambda: Circuit(3, 5, 0.3, ((Gate(CPHASE, (0, 1), 0.4),), ())), "expected 5 layers, got 2"),
+        (lambda: replace(idle_circuit(2, 3, 0.5), d=4), "expected 4 layers, got 3"),
     ],
 )
 def test_validate_flags_gate_kind_and_target_count(gate, problem):
-    assert validate(Circuit(2, 1, 0.5, ((gate,),))) == [problem]
+    """Construction refuses what `validate` flags, with `validate`'s message.
+
+    `gate` is the one gate of a 2-qubit, 1-layer circuit, or builds the circuit."""
+    build = gate if callable(gate) else lambda: Circuit(2, 1, 0.5, ((gate,),))
+    with pytest.raises(CircuitFormatError) as exc:
+        build()
+    assert str(exc.value) == problem
 
 
 def test_validate_flags_bad_probability():
-    c = Circuit(2, 1, 0.0, ((),))
-    assert any("(0, 1]" in m or "(0,1]" in m for m in validate(c))
+    for p in (0.0, 1.5, math.nan):
+        with pytest.raises(CircuitFormatError, match=rf"^p must lie in \(0,1\], got {p}$"):
+            Circuit(2, 1, p, ((),))
 
 
 def test_validate_accepts_idle():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import branch_count_bound, phase_gate_matrix, random_frame_string
-from iqpdamp.circuit_model import Circuit, Gate, idle_circuit, random_circuit
+from iqpdamp.circuit_model import Circuit, CircuitFormatError, Gate, idle_circuit, random_circuit
 from iqpdamp.dense_oracle import apply_damping_dense, evolve_dense
 from iqpdamp.frame_engine import (
     DIAG,
@@ -174,8 +174,9 @@ def test_rotation_matches_dense_conjugation():
 
 def test_rotation_out_of_range():
     s = make_string((PLUS,))
-    with pytest.raises(IndexError):
-        apply_single_qubit_rotation(s, 1, 0.5)
+    for q in (-1, 1):  # a negative index would wrap
+        with pytest.raises(IndexError):
+            apply_single_qubit_rotation(s, q, 0.5)
 
 
 def test_cphase2_diag_diag_unchanged():
@@ -459,12 +460,11 @@ def test_propagate_branch_count_bound():
 
 
 def test_propagate_rejects_out_of_range_rotation():
-    # built directly: parse_circuit would reject these targets before propagation
-    s = make_string((PLUS, DIAG, MINUS))
+    # no circuit holds such a rotation; the rotation itself refuses the qubit
+    # (test_rotation_out_of_range)
     for q in (-1, 3):
-        circuit = Circuit(n=3, d=1, p=0.2, layers=((Gate("rz", (q,), 0.4),),))
-        with pytest.raises(IndexError):
-            propagate(s, circuit)
+        with pytest.raises(CircuitFormatError, match=rf"^layer 0: target {q} out of range \[0, 3\)$"):
+            Circuit(n=3, d=1, p=0.2, layers=((Gate("rz", (q,), 0.4),),))
 
 
 def test_propagate_rejects_size_mismatch():
