@@ -46,7 +46,7 @@ from .dense_oracle import DENSE_N_CAP, evolve_dense
 from .errors import CertificationError, NumericalError
 from .fastpath import build_table_auto
 from .hw_basis import build_table
-from .sampler import fourier_table, sample
+from .sampler import SAMPLE_N_CAP, fourier_table, sample
 
 
 # Largest table_size_bound(n, k) that simulate and sample accept. The bound also
@@ -175,6 +175,8 @@ def cmd_sample(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     circuit = _load_circuit(args)
+    if circuit.n > SAMPLE_N_CAP:
+        raise ValueError(f"sample needs n <= {SAMPLE_N_CAP}, got n={circuit.n}")
     k, _ = _pick_cutoff(circuit, args)
     with _output(args.out) as out:
         if args.samples == 0:

@@ -14,11 +14,16 @@ position, so a prefix of k bits sees exactly the first ends[k] of them; any
 other frequency would add an exact 0. Each visible frequency's sign is
 gathered from a factor per position, and the signed values are added in level
 order by a running sum, so every marginal is bitwise a plain sequential loop's
-in that order. That is O(visible frequencies * row width) numpy work per call.
+in that order. A child marginal continues its parent's running sum: it adds
+only the bucket of frequencies whose highest position is its last bit, so a
+sampler decision costs O(bucket * row width) numpy work and gives the same
+bits as a sum from scratch, which is O(visible frequencies * row width).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -28,6 +33,10 @@ from .errors import NumericalError
 from .hw_basis import HWCoefficientTable, MaskView, void_rows
 
 INDUCED_N_CAP = 12
+# Largest n that `sample` accepts. Its decisions compare marginals of k-bit
+# prefixes, which carry a factor 2^-k and run out of double range past k = 1023.
+SAMPLE_N_CAP = 1023
+_SMALLEST_NORMAL = sys.float_info.min
 IMAG_TOL = 1e-12  # largest imaginary part a Fourier coefficient may keep, relative to the largest one
 
 
@@ -59,16 +68,19 @@ class QuasiDistribution:
         highest qubit position, frequency 0 first. ends[k] counts the
         frequencies whose positions all lie below k, so a prefix of k bits sees
         exactly the first ends[k]; the block [ends[q], ends[q + 1]) holds the
-        frequencies whose highest position is q. Columns and values start with
-        one extra entry, frequency 0 of value 0.0, so a level-order sum starts
-        from 0.0 like a loop, also on an empty support.
+        frequencies whose highest position is q. Columns pad with -1 in place
+        of n, so a factor over the prefix bits and one trailing 1 signs every
+        row. Columns and values start with one extra entry, frequency 0 of
+        value 0.0, so a level-order sum starts from 0.0 like a loop, also on an
+        empty support.
         """
-        n, rows = self.n, self.coeffs.rows
-        # one more than the highest position below n (rows ascend, padded with n); 0 for frequency 0
-        level = np.where(rows < n, rows + 1, 0).max(axis=1, initial=0).astype(np.min_scalar_type(n))
+        n = self.n
+        rows = np.where(self.coeffs.rows < n, self.coeffs.rows, -1)
+        # one more than the highest position (a row pads with -1); 0 for frequency 0
+        level = (rows.max(axis=1, initial=-1) + 1).astype(np.min_scalar_type(n))
         order = np.argsort(level, kind="stable")  # a radix sort on 8- and 16-bit keys
         ends = np.cumsum(np.bincount(level, minlength=n + 1)).tolist()
-        columns = tuple(np.concatenate(([n], column)).astype(np.intp) for column in rows[order].T)
+        columns = tuple(np.concatenate(([-1], column)).astype(np.intp) for column in rows[order].T)
         return columns, np.concatenate(([0.0], self.coeffs.vals[order])), ends
 
     def __eq__(self, other) -> bool:
@@ -124,19 +136,30 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
 _SIGNS = bytes.maketrans(b"01", b"\x01\xff")
 
 
-def marginal(qd: QuasiDistribution, prefix: str) -> float:
+def marginal(qd: QuasiDistribution, prefix: str, parent: float | None = None) -> float:
     """Exact S_y = sum of q(x) over all completions of the bit prefix y.
 
     Sparse Parseval sum: only frequencies supported on the prefix qubits
     survive the average over completions, and in level order those are the
-    first ends[len(y)] of the support (`QuasiDistribution._columns`); the rest
-    would each add an exact 0. An int8 factor per position holds (-1)^y_q on
-    the prefix and 1 from there on, the sentinel n included; the product of
-    its gathers through the parity columns signs each visible coefficient. The
+    first ends[k] of the support, k = len(y) (`QuasiDistribution._columns`);
+    the rest would each add an exact 0. An int8 factor holds (-1)^y_q at each
+    prefix position q and a trailing 1 for the padding; the product of its
+    gathers through the parity columns signs each visible coefficient. The
     terms are added in level order by `np.add.accumulate` (a running sum;
     `np.sum` would add pairwise), so over finite coefficients the result is
-    bitwise a sequential loop's in that order. O(visible frequencies * row
-    width) numpy work per call.
+    bitwise a sequential loop's in that order: O(ends[k] * row width) numpy
+    work.
+
+    `parent`, when given, must be S of y[:-1] as `marginal` returned it. The
+    first ends[k - 1] frequencies lie below position k - 1 and have the same
+    signs under y as under y[:-1], so the loop's partial sum there is the
+    parent's unscaled sum, parent * 2^(k-1). That product is exact while
+    `parent` is a normal double, and then the sum continues from it through
+    the bucket [ends[k - 1], ends[k]) alone, the frequencies whose highest
+    position is k - 1: O(bucket * row width) work, and bitwise the same
+    result. A zero or subnormal parent may have lost bits to its scaling, so
+    the sum starts over from 0.0. The scaling by 2^-k, `math.ldexp`, is
+    correctly rounded and never overflows, at any k.
     """
     k = len(prefix)
     n = qd.n
@@ -145,12 +168,18 @@ def marginal(qd: QuasiDistribution, prefix: str) -> float:
     if prefix.strip("01"):
         raise ValueError(f"prefix must consist of 0s and 1s, got {prefix!r}")
     columns, vals, ends = qd._columns
+    if k and parent is not None and not abs(parent) < _SMALLEST_NORMAL:
+        first, start = ends[k - 1], math.ldexp(parent, k - 1)
+    else:
+        first, start = 0, 0.0
     seen = ends[k] + 1  # the leading 0.0 and the frequencies the prefix sees
-    factor = np.frombuffer((prefix + "0" * (n + 1 - k)).encode().translate(_SIGNS), np.int8)
-    sign = factor.take(columns[0][:seen])
+    factor = np.frombuffer((prefix + "0").encode().translate(_SIGNS), np.int8)
+    sign = factor.take(columns[0][first:seen])
     for column in columns[1:]:
-        sign *= factor.take(column[:seen])
-    return float(np.add.accumulate(vals[:seen] * sign)[-1]) / 2.0 ** k
+        sign *= factor.take(column[first:seen])
+    terms = vals[first:seen] * sign
+    terms[0] = start  # in place of the leading 0.0, or of the parent's last term
+    return math.ldexp(np.add.accumulate(terms)[-1], -k)
 
 
 def _mass(qd: QuasiDistribution) -> float:
@@ -165,18 +194,20 @@ def _mass(qd: QuasiDistribution) -> float:
     return root
 
 
-def _decide(qd: QuasiDistribution, prefix: str,
+def _decide(qd: QuasiDistribution, prefix: str, s_y: float,
             cache: dict[str, float]) -> tuple[float, float, str | None]:
     """(S_y0, S_y1, forced) at prefix y, with child marginals cached by prefix string.
 
+    Each child marginal continues from s_y = S_y, so it reads only the bucket of
+    level len(y), and is bitwise the marginal from scratch (see `marginal`).
     A negative child forces the other bit, or the larger child if both are negative;
     otherwise `forced` is None and the bit is 0 with probability S_y0 / S_y."""
     y0, y1 = prefix + "0", prefix + "1"
     s0, s1 = cache.get(y0), cache.get(y1)
     if s0 is None:
-        s0 = cache[y0] = marginal(qd, y0)
+        s0 = cache[y0] = marginal(qd, y0, s_y)
     if s1 is None:
-        s1 = cache[y1] = marginal(qd, y1)
+        s1 = cache[y1] = marginal(qd, y1, s_y)
     if s0 < 0.0 or s1 < 0.0:
         return s0, s1, "1" if s0 < 0.0 and s1 >= s0 else "0"
     return s0, s1, None
@@ -193,6 +224,8 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if qd.n > SAMPLE_N_CAP:
+        raise ValueError(f"sampling capped at n <= {SAMPLE_N_CAP}, got n={qd.n}")
     root = _mass(qd)
     rng = np.random.default_rng(seed)
     cache: dict[str, float] = {}
@@ -201,7 +234,7 @@ def sample(qd: QuasiDistribution, count: int, seed: int,
     for _ in range(count):
         y, s_y = "", root
         for _bit in range(qd.n):
-            s0, s1, bit = _decide(qd, y, cache if len(y) < shallow else {})
+            s0, s1, bit = _decide(qd, y, s_y, cache if len(y) < shallow else {})
             if audit is not None:
                 audit.append((y, s0, s1, bit))
             if bit is None:
@@ -229,7 +262,7 @@ def induced_distribution(qd: QuasiDistribution) -> dict[str, float]:
         if len(prefix) == qd.n:
             out[prefix] = prob
             return
-        s0, s1, bit = _decide(qd, prefix, {})  # each prefix is decided once
+        s0, s1, bit = _decide(qd, prefix, s_y, {})  # each prefix is decided once
         if bit is not None:
             walk(prefix + bit, prob, s0 if bit == "0" else s1)
             return

@@ -86,12 +86,13 @@ def hs_distance(a, b):
     return float(np.linalg.norm(a - b))
 
 
-def plain_marginal(qd, prefix, level_order=True):
+def plain_marginal(qd, prefix, parent=None, *, level_order=True):
     """The prefix marginal as a sequential loop over a plain int-keyed dict of the coefficients.
 
     The reference for `sampler.marginal`, which must give the same float bit for
-    bit. The loop runs in level order: stably by each frequency's highest qubit
-    position (the lowest set bit of its mask), frequency 0 first, then in
+    bit, with or without a `parent`; this loop ignores `parent` and always starts
+    from 0.0. The loop runs in level order: stably by each frequency's highest
+    qubit position (the lowest set bit of its mask), frequency 0 first, then in
     support order. With level_order=False it runs in support order.
     """
     k, n = len(prefix), qd.n

@@ -337,6 +337,8 @@ def test_usage_errors_exit_two():
     (["simulate", "--random", "10,3,0.9,3", "--k", "21"], "--k must lie in [0, 2n] = [0, 20], got 21"),
     (["sample", "--random", "10,3,0.9", "--k", "25", "--samples", "5"],
      "--k must lie in [0, 2n] = [0, 20], got 25"),
+    (["sample", "--random", "1030,5,0.5", "--k", "0", "--samples", "1"],
+     f"sample needs n <= {cli.SAMPLE_N_CAP}, got n=1030"),
 ])
 def test_every_refusal_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
     def no_work(*args):

@@ -12,6 +12,7 @@ from iqpdamp.errors import NumericalError
 from iqpdamp.fastpath import build_table_auto
 from iqpdamp.hw_basis import POSITION, HWCoefficientTable, MaskView, build_table
 from iqpdamp.sampler import (
+    SAMPLE_N_CAP,
     QuasiDistribution,
     fourier_table,
     induced_distribution,
@@ -114,14 +115,21 @@ def support_n70():
     lambda: QuasiDistribution(5, {}),
     # frequencies past the prefix give -0.0 terms; the sum still starts from 0.0
     lambda: QuasiDistribution(3, {0b100: -0.5, 0b010: -0.25}),
-], ids=["2local-n32", "3local-k4", "n70", "frequency-0-only", "empty", "negative-first"])
+    # marginals turn subnormal from about 30 bits on, where scaling a parent loses bits
+    lambda: QuasiDistribution(40, {(1 << 39) >> q: 1e-300 * (1 + q / 7) for q in range(0, 40, 3)}),
+], ids=["2local-n32", "3local-k4", "n70", "frequency-0-only", "empty", "negative-first",
+        "subnormal"])
 def test_marginal_is_bitwise_the_plain_loop_at_every_prefix_length(make):
     qd = make()
     rng = np.random.default_rng(qd.n)
     for bits in ("0" * qd.n, "1" * qd.n, "".join(rng.choice(["0", "1"], size=qd.n))):
         for length in range(qd.n + 1):
             # repr tells -0.0 from 0.0
-            assert repr(marginal(qd, bits[:length])) == repr(plain_marginal(qd, bits[:length]))
+            want = repr(plain_marginal(qd, bits[:length]))
+            assert repr(marginal(qd, bits[:length])) == want
+            if length:
+                parent = marginal(qd, bits[:length - 1])
+                assert repr(marginal(qd, bits[:length], parent)) == want
 
 
 def one_entry_support():
@@ -167,11 +175,41 @@ def test_marginal_reads_only_the_frequencies_its_prefix_sees(n, width):
     for bits in ("0" * n, "1" * n, "".join(rng.choice(["0", "1"], size=n))):
         for length in range(n + 1):
             got = marginal(qd, bits[:length])
-            assert repr(got) == repr(plain_marginal(qd, bits[:length]))
+            want = repr(plain_marginal(qd, bits[:length]))
+            assert repr(got) == want
+            if length:
+                parent = marginal(qd, bits[:length - 1])
+                assert repr(marginal(qd, bits[:length], parent)) == want
             # the support-order sum differs by rounding alone: at most 2 m u sum|v| / 2^k
             seen = [abs(v) for s, v in entries.items() if not s & ((1 << (n - length)) - 1)]
             bound = 2 * len(seen) * 2.0 ** -53 * sum(seen) / 2.0 ** length
             assert abs(got - plain_marginal(qd, bits[:length], level_order=False)) <= bound
+
+
+@pytest.mark.parametrize("make", [support_2local_n32, support_3local, support_n70],
+                         ids=["2local-n32", "3local-k4", "n70"])
+def test_a_continued_marginal_reads_only_its_bucket(make):
+    qd = make()
+    n, rows, vals = qd.n, qd.coeffs.rows, qd.coeffs.vals
+    highest = np.where(rows < n, rows, -1).max(axis=1)  # -1 for frequency 0
+    bits = "".join(np.random.default_rng(n).choice(["0", "1"], size=n))
+    for length in range(1, n + 1):
+        # the same rows, with other values on every frequency below level length - 1
+        below = highest < length - 1
+        altered = QuasiDistribution(n, MaskView(n, 1, rows, np.where(below, 3.0 * vals + 1.0, vals)))
+        want = marginal(qd, bits[:length])
+        assert marginal(altered, bits[:length]) != want
+        parent = marginal(qd, bits[:length - 1])
+        assert repr(marginal(altered, bits[:length], parent)) == repr(want)
+
+
+def test_sampling_is_refused_above_the_cap():
+    # a marginal scales by 2^-k at any k; sampling refuses n past SAMPLE_N_CAP up front
+    wide = QuasiDistribution(SAMPLE_N_CAP + 1, {0: 1.0})
+    assert marginal(wide, "0" * wide.n) == math.ldexp(1.0, -wide.n)
+    with pytest.raises(ValueError, match=f"sampling capped at n <= {SAMPLE_N_CAP}, got n=1024"):
+        sample(wide, 1, seed=0)
+    assert [len(y) for y in sample(QuasiDistribution(SAMPLE_N_CAP, {0: 1.0}), 1, seed=0)] == [1023]
 
 
 def test_sampler_follows_the_plain_loop(monkeypatch):
