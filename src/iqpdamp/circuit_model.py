@@ -78,17 +78,23 @@ class Circuit:
                 yield i, g
 
 
+def _header_problems(n: int, d: int, p: float) -> list[str]:
+    """Every violation of the rules on n, d and p alone, as `validate` words them."""
+    problems = []
+    if n < 1:
+        problems.append(f"n must be >= 1, got {n}")
+    if d < 1:
+        problems.append(f"d must be >= 1, got {d}")
+    if not (0.0 < p <= 1.0):
+        problems.append(f"p must lie in (0,1], got {p}")
+    return problems
+
+
 def validate(circuit: Circuit) -> list[str]:
     """Return every invariant violation as a human-readable string; empty means valid.
 
     `Circuit` runs this on construction, so a built circuit always passes."""
-    problems: list[str] = []
-    if circuit.n < 1:
-        problems.append(f"n must be >= 1, got {circuit.n}")
-    if circuit.d < 1:
-        problems.append(f"d must be >= 1, got {circuit.d}")
-    if not (0.0 < circuit.p <= 1.0):
-        problems.append(f"p must lie in (0,1], got {circuit.p}")
+    problems = _header_problems(circuit.n, circuit.d, circuit.p)
     if len(circuit.layers) != circuit.d:
         problems.append(f"expected {circuit.d} layers, got {len(circuit.layers)}")
     for li, layer in enumerate(circuit.layers):
@@ -228,15 +234,14 @@ def random_circuit(n: int, d: int, p: float, locality: int = 2, seed: int = 0) -
     block receives, with probability 1/2 each, either one controlled-phase gate
     on the whole block or independent Z rotations on every block qubit. Angles
     are uniform in [0, 2pi). A leftover block of one qubit gets a single Rz.
+    Bad parameters raise CircuitFormatError naming every problem, before any
+    random draw.
     """
-    if n < 1:
-        raise ValueError(f"random_circuit needs n >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"random_circuit needs d >= 1, got {d}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0,1], got {p}")
+    problems = _header_problems(n, d, p)
     if locality < 2:
-        raise ValueError(f"locality must be >= 2, got {locality}")
+        problems.append(f"locality must be >= 2, got {locality}")
+    if problems:
+        raise CircuitFormatError("; ".join(problems))
 
     rng = np.random.default_rng(seed)
     layers: list[tuple[Gate, ...]] = []

@@ -155,6 +155,13 @@ def _pick_cutoff(circuit: Circuit, args) -> tuple[int, list[str]]:
     return k, budget.report_lines()
 
 
+def _print_report(lines: list[str], path: str | None) -> None:
+    """Print a run's report: to stderr when the output goes to stdout, else to stdout."""
+    report_fh = sys.stderr if path is None else sys.stdout
+    for line in lines:
+        print(line, file=report_fh)
+
+
 def cmd_simulate(args) -> int:
     circuit = _load_circuit(args)
     k, report = _pick_cutoff(circuit, args)
@@ -164,10 +171,7 @@ def cmd_simulate(args) -> int:
             out.writelines(table.serialize())
         else:
             _write_records(out, args.format, ("ket", "bra", "re", "im"), table.text_rows())
-    report_fh = sys.stderr if args.out is None else sys.stdout
-    for line in report:
-        print(line, file=report_fh)
-    print(f"entries={len(table.data)}", file=report_fh)
+    _print_report([*report, f"entries={len(table.data)}"], args.out)
     return 0
 
 
@@ -177,18 +181,18 @@ def cmd_sample(args) -> int:
     circuit = _load_circuit(args)
     if circuit.n > SAMPLE_N_CAP:
         raise ValueError(f"sample needs n <= {SAMPLE_N_CAP}, got n={circuit.n}")
-    k, _ = _pick_cutoff(circuit, args)
+    k, report = _pick_cutoff(circuit, args)
     with _output(args.out) as out:
-        if args.samples == 0:
-            return 0
-        table = build_table_auto(circuit, k)
-        qd = fourier_table(table)
-        outcomes = sample(qd, args.samples, args.seed)
-        if args.format is None:
-            out.write("\n".join(outcomes) + "\n")
-        else:
-            _write_records(out, args.format, ("outcome", "count"),
-                           sorted(Counter(outcomes).items()))
+        if args.samples:
+            qd = fourier_table(build_table_auto(circuit, k))
+            outcomes = sample(qd, args.samples, args.seed)
+            if args.format is None:
+                out.write("\n".join(outcomes) + "\n")
+            else:
+                _write_records(out, args.format, ("outcome", "count"),
+                               sorted(Counter(outcomes).items()))
+            report.append(f"support={len(qd.coeffs)}")
+    _print_report(report, args.out)
     return 0
 
 

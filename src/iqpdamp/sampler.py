@@ -9,15 +9,18 @@ negative child marginal forces the other branch, otherwise the bit extends
 with probability S_y0 / S_y. Outcome bit 0 encodes the |+> result, 1 encodes |->.
 
 A marginal reads only the frequencies its prefix can see. The sampler keeps
-the support's rows in level order, stably by each frequency's highest qubit
-position, so a prefix of k bits sees exactly the first ends[k] of them; any
-other frequency would add an exact 0. Each visible frequency's sign is
-gathered from a factor per position, and the signed values are added in level
-order by a running sum, so every marginal is bitwise a plain sequential loop's
-in that order. A child marginal continues its parent's running sum: it adds
-only the bucket of frequencies whose highest position is its last bit, so a
-sampler decision costs O(bucket * row width) numpy work and gives the same
-bits as a sum from scratch, which is O(visible frequencies * row width).
+the support in one bucket per level, made on the first marginal: level 0
+holds frequency 0 and level q + 1 the frequencies whose highest qubit position
+is q, each with its values, their negations and the gather columns of its
+other positions. A prefix of k bits sees exactly levels 0..k; any other
+frequency would add an exact 0. A running sum goes through the levels in
+order, so every marginal is bitwise a plain sequential loop's over the
+support in level order. A child marginal continues its parent's running sum
+through the one bucket of its last bit's level: that bit picks the values or
+their negations, and one gather per remaining column (one on a 2-local
+support) signs them. A sampler decision thus costs a few numpy calls on one
+bucket, and gives the same bits as a sum from scratch, which goes through all
+k + 1 levels.
 """
 
 from __future__ import annotations
@@ -61,27 +64,31 @@ class QuasiDistribution:
         return self._coeffs
 
     @cached_property
-    def _columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
-        """(contiguous parity columns, values, ends), made once for `marginal`.
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
+        """One bucket (values, negated values, columns) per level, made once for `marginal`.
 
-        Columns and values are in level order: stably by each frequency's
-        highest qubit position, frequency 0 first. ends[k] counts the
-        frequencies whose positions all lie below k, so a prefix of k bits sees
-        exactly the first ends[k]; the block [ends[q], ends[q + 1]) holds the
-        frequencies whose highest position is q. Columns pad with -1 in place
-        of n, so a factor over the prefix bits and one trailing 1 signs every
-        row. Columns and values start with one extra entry, frequency 0 of
-        value 0.0, so a level-order sum starts from 0.0 like a loop, also on an
-        empty support.
+        Level 0 holds frequency 0 and level q + 1 the frequencies whose highest
+        qubit position is q, in support order. The columns hold each bucket
+        frequency's other positions, -1 for padding; the highest position's
+        column and any column of padding alone are dropped, so a bucket of
+        single-position frequencies has none. Every array starts with one
+        extra slot, value 0.0 and position -1, that takes the running sum a
+        level continues from.
         """
         n = self.n
-        rows = np.where(self.coeffs.rows < n, self.coeffs.rows, -1)
-        # one more than the highest position (a row pads with -1); 0 for frequency 0
-        level = (rows.max(axis=1, initial=-1) + 1).astype(np.min_scalar_type(n))
+        rows = np.sort(np.where(self.coeffs.rows < n, self.coeffs.rows, -1), axis=1)
+        level = (rows[:, -1] + 1).astype(np.min_scalar_type(n))  # 0 for frequency 0
         order = np.argsort(level, kind="stable")  # a radix sort on 8- and 16-bit keys
         ends = np.cumsum(np.bincount(level, minlength=n + 1)).tolist()
-        columns = tuple(np.concatenate(([-1], column)).astype(np.intp) for column in rows[order].T)
-        return columns, np.concatenate(([0.0], self.coeffs.vals[order])), ends
+        rows, vals = rows[order, :-1], self.coeffs.vals[order]
+        levels = []
+        for start, end in zip([0] + ends, ends):
+            below = rows[start:end]
+            below = below[:, (below >= 0).any(axis=0)]
+            bucket = np.concatenate(([0.0], vals[start:end]))
+            levels.append((bucket, -bucket, tuple(np.concatenate(([-1], column)).astype(np.intp)
+                                                  for column in below.T)))
+        return levels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiDistribution):
@@ -136,30 +143,46 @@ def fourier_table(table: HWCoefficientTable) -> QuasiDistribution:
 _SIGNS = bytes.maketrans(b"01", b"\x01\xff")
 
 
+def _add_level(level: tuple, factor: np.ndarray, negated: bool, start: float) -> float:
+    """start plus the level's signed values, added one by one in bucket order.
+
+    `negated` picks the values signed by the level's own position; the
+    factor's gathers through the other columns sign the rest."""
+    vals, negs, columns = level
+    terms = negs if negated else vals
+    if columns:
+        sign = factor.take(columns[0])
+        for column in columns[1:]:
+            sign *= factor.take(column)
+        terms = terms * sign
+    else:
+        terms = terms.copy()
+    terms[0] = start  # in place of the leading 0.0
+    return np.add.accumulate(terms)[-1]
+
+
 def marginal(qd: QuasiDistribution, prefix: str, parent: float | None = None) -> float:
     """Exact S_y = sum of q(x) over all completions of the bit prefix y.
 
     Sparse Parseval sum: only frequencies supported on the prefix qubits
-    survive the average over completions, and in level order those are the
-    first ends[k] of the support, k = len(y) (`QuasiDistribution._columns`);
-    the rest would each add an exact 0. An int8 factor holds (-1)^y_q at each
-    prefix position q and a trailing 1 for the padding; the product of its
-    gathers through the parity columns signs each visible coefficient. The
-    terms are added in level order by `np.add.accumulate` (a running sum;
-    `np.sum` would add pairwise), so over finite coefficients the result is
-    bitwise a sequential loop's in that order: O(ends[k] * row width) numpy
-    work.
+    survive the average over completions. Those are the buckets of levels
+    0..k, k = len(y), of `QuasiDistribution._levels`; the rest would each add
+    an exact 0. Every frequency of level j holds position j - 1, so bit
+    y[j - 1] picks the level's values or their negations, and an int8 factor
+    holding (-1)^y_q at each prefix position q and a trailing 1 for the
+    padding signs them through the other columns. The running sum goes
+    through the levels in order, each by `np.add.accumulate` (`np.sum` would
+    add pairwise), so over finite coefficients the result is bitwise a
+    sequential loop's over the support in level order.
 
     `parent`, when given, must be S of y[:-1] as `marginal` returned it. The
-    first ends[k - 1] frequencies lie below position k - 1 and have the same
-    signs under y as under y[:-1], so the loop's partial sum there is the
-    parent's unscaled sum, parent * 2^(k-1). That product is exact while
-    `parent` is a normal double, and then the sum continues from it through
-    the bucket [ends[k - 1], ends[k]) alone, the frequencies whose highest
-    position is k - 1: O(bucket * row width) work, and bitwise the same
+    loop's partial sum through level k - 1 is then parent * 2^(k-1), exact
+    while `parent` is a normal double, and the sum continues from it through
+    the one bucket of level k: one gather per column left there (one on a
+    2-local support, none for single-position frequencies), bitwise the same
     result. A zero or subnormal parent may have lost bits to its scaling, so
-    the sum starts over from 0.0. The scaling by 2^-k, `math.ldexp`, is
-    correctly rounded and never overflows, at any k.
+    the sum starts over from 0.0 at level 0. The scaling by 2^-k,
+    `math.ldexp`, is correctly rounded and never overflows, at any k.
     """
     k = len(prefix)
     n = qd.n
@@ -167,19 +190,15 @@ def marginal(qd: QuasiDistribution, prefix: str, parent: float | None = None) ->
         raise ValueError(f"prefix longer than n={n}: {prefix!r}")
     if prefix.strip("01"):
         raise ValueError(f"prefix must consist of 0s and 1s, got {prefix!r}")
-    columns, vals, ends = qd._columns
-    if k and parent is not None and not abs(parent) < _SMALLEST_NORMAL:
-        first, start = ends[k - 1], math.ldexp(parent, k - 1)
-    else:
-        first, start = 0, 0.0
-    seen = ends[k] + 1  # the leading 0.0 and the frequencies the prefix sees
+    levels = qd._levels
     factor = np.frombuffer((prefix + "0").encode().translate(_SIGNS), np.int8)
-    sign = factor.take(columns[0][first:seen])
-    for column in columns[1:]:
-        sign *= factor.take(column[first:seen])
-    terms = vals[first:seen] * sign
-    terms[0] = start  # in place of the leading 0.0, or of the parent's last term
-    return math.ldexp(np.add.accumulate(terms)[-1], -k)
+    if k and parent is not None and not abs(parent) < _SMALLEST_NORMAL:
+        total = _add_level(levels[k], factor, prefix[-1] == "1", math.ldexp(parent, k - 1))
+    else:
+        total = _add_level(levels[0], factor, False, 0.0)
+        for q, bit in enumerate(prefix):
+            total = _add_level(levels[q + 1], factor, bit == "1", total)
+    return math.ldexp(total, -k)
 
 
 def _mass(qd: QuasiDistribution) -> float:
@@ -199,7 +218,8 @@ def _decide(qd: QuasiDistribution, prefix: str, s_y: float,
     """(S_y0, S_y1, forced) at prefix y, with child marginals cached by prefix string.
 
     Each child marginal continues from s_y = S_y, so it reads only the bucket of
-    level len(y), and is bitwise the marginal from scratch (see `marginal`).
+    frequencies whose highest position is its last bit, and is bitwise the
+    marginal from scratch (see `marginal`).
     A negative child forces the other bit, or the larger child if both are negative;
     otherwise `forced` is None and the bit is 0 with probability S_y0 / S_y."""
     y0, y1 = prefix + "0", prefix + "1"

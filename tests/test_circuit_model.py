@@ -1,6 +1,8 @@
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,16 +143,23 @@ def test_validate_accepts_idle():
 @pytest.mark.parametrize(
     "args,message",
     [
-        ((2, 0, 0.5), "random_circuit needs d >= 1, got 0"),
+        ((2, 0, 0.5), "d must be >= 1, got 0"),
         ((2, 1, 0.0), "p must lie in (0,1], got 0.0"),
         ((2, 1, 1.5), "p must lie in (0,1], got 1.5"),
         ((2, 1, 0.5, 1), "locality must be >= 2, got 1"),
+        ((-3, 0, 2.0, 1), "n must be >= 1, got -3; d must be >= 1, got 0; "
+                          "p must lie in (0,1], got 2.0; locality must be >= 2, got 1"),
     ],
 )
-def test_random_circuit_rejects_bad_parameters(args, message):
-    with pytest.raises(ValueError) as exc:
+def test_random_circuit_rejects_bad_parameters(args, message, monkeypatch):
+    # the same words as a circuit built by hand, every problem at once, before numpy draws
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(CircuitFormatError) as exc:
         random_circuit(*args)
     assert str(exc.value) == message
+    if len(args) == 3:
+        with pytest.raises(CircuitFormatError, match=f"^{re.escape(message)}$"):
+            Circuit(*args, ((),) * max(args[1], 0))
 
 
 def test_random_circuit_deterministic_in_seed():

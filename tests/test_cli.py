@@ -19,8 +19,9 @@ from iqpdamp.bounds import (
 )
 from iqpdamp.circuit_model import random_circuit, serialize_circuit
 from iqpdamp.errors import NumericalError
-from iqpdamp.fastpath import g2_low_weight_table
+from iqpdamp.fastpath import build_table_auto, g2_low_weight_table
 from iqpdamp.hw_basis import parse_table
+from iqpdamp.sampler import fourier_table
 
 VALID = "iqp n=2 d=1 p=0.5\nlayer 0\nrz 0 0.25\nrz 1 1.5\n"
 
@@ -130,6 +131,26 @@ def test_sample_zero_draws(tmp_path):
                 "--out", str(out)])
     assert code == 0
     assert out.read_text() == ""
+
+
+def test_sample_reports_its_budget(tmp_path, capsys):
+    argv = ["sample", "--random", "4,30,0.4", "--epsilon", "0.2", "--samples", "20"]
+    assert run(argv) == 0
+    draws, report = capsys.readouterr()
+    # the draws alone on stdout; the budget and the support size on stderr
+    assert [len(ln) for ln in draws.splitlines()] == [4] * 20 and set(draws) <= {"0", "1", "\n"}
+    budget = select_k(4, 30, 0.4, 0.2)
+    qd = fourier_table(build_table_auto(random_circuit(4, 30, 0.4, seed=0), budget.k))
+    assert report.splitlines() == [*budget.report_lines(), f"support={len(qd.coeffs)}"]
+    assert "k=1" in report.splitlines()
+    # with --out, the report goes to stdout, as simulate's does
+    out = tmp_path / "draws.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == (report, "")
+    assert out.read_text() == draws
+    # no draws, no table: the budget alone
+    assert run(argv[:-1] + ["0"]) == 0
+    assert capsys.readouterr() == ("", "".join(f"{ln}\n" for ln in budget.report_lines()))
 
 
 def test_sample_rejects_negative_count(capsys):
@@ -322,7 +343,7 @@ def test_usage_errors_exit_two():
     (["bounds", "--circuit", "missing.txt"],
      "cannot read circuit file: [Errno 2] No such file or directory: 'missing.txt'"),
     (["sample", "--random", "0,4,0.2", "--k", "1", "--samples", "1"],
-     "random_circuit needs n >= 1, got 0"),
+     "n must be >= 1, got 0"),
     (["sample", "--random", "3,4,0.2", "--k", "1", "--samples", "-1"],
      "--samples must be >= 0, got -1"),
     (["bounds", "--random", "3,5,0.3", "--kmax", "-1"], "--kmax must be >= 0, got -1"),

@@ -169,9 +169,11 @@ def test_marginal_reads_only_the_frequencies_its_prefix_sees(n, width):
     entries[keys[0]] = -0.0
     qd = QuasiDistribution(n, entries)
     assert qd.coeffs.rows.shape[1] == width
-    # ends[k] counts the frequencies whose positions all lie below k
-    assert qd._columns[2] == [sum(1 for s in entries if not s & ((1 << (n - k)) - 1))
-                              for k in range(n + 1)]
+    # level 0 holds frequency 0, level q + 1 the frequencies whose highest position is q
+    highest = [s and n - (s & -s).bit_length() for s in entries]
+    assert [len(vals) - 1 for vals, _, _ in qd._levels] == (
+        [sum(1 for s in entries if s == 0)]
+        + [sum(1 for s, h in zip(entries, highest) if s and h == q) for q in range(n)])
     for bits in ("0" * n, "1" * n, "".join(rng.choice(["0", "1"], size=n))):
         for length in range(n + 1):
             got = marginal(qd, bits[:length])
@@ -212,18 +214,49 @@ def test_sampling_is_refused_above_the_cap():
     assert [len(y) for y in sample(QuasiDistribution(SAMPLE_N_CAP, {0: 1.0}), 1, seed=0)] == [1023]
 
 
+def support_with_an_empty_level():
+    qd = support_3local()
+    rows, vals = qd.coeffs.rows, qd.coeffs.vals
+    keep = np.where(rows < qd.n, rows, -1).max(axis=1) != 3  # no frequency's highest position is 3
+    qd = QuasiDistribution(qd.n, MaskView(qd.n, 1, rows[keep], vals[keep]))
+    assert len(qd._levels[4][0]) == 1  # the leading slot alone
+    return qd
+
+
+def support_of_single_positions():
+    # k = 1 leaves parities of one position: no bucket keeps a gather column
+    qd = fourier_table(build_table_auto(random_circuit(9, 6, 0.3, seed=2), 1))
+    assert qd.coeffs.rows.shape[1] == 1 and not any(columns for _, _, columns in qd._levels)
+    return qd
+
+
 def test_sampler_follows_the_plain_loop(monkeypatch):
-    wide, small = support_2local_n32(), support_3local()
-    draws = (sample(wide, 200, seed=3), sample(small, 200, seed=4))
-    audit = []
-    sample(small, 50, seed=8, audit=audit)
-    induced = induced_distribution(small)
+    # the largest sample_2local shape, small shapes and buckets empty or without gathers
+    largest = fourier_table(build_table_auto(random_circuit(56, 31, 0.5, locality=2, seed=7), 2))
+    cases = [(support_2local_n32(), 200, 3), (largest, 20, 5), (support_3local(), 200, 4),
+             (support_with_an_empty_level(), 200, 6), (support_of_single_positions(), 200, 9)]
+
+    def run_all():
+        runs = []
+        for qd, count, seed in cases:
+            audit = []
+            draws = sample(qd, count, seed=seed, audit=audit)
+            induced = repr(induced_distribution(qd)) if qd.n <= 12 else None
+            runs.append((draws, repr(audit), induced))
+        return runs
+
+    fast = run_all()
     monkeypatch.setattr(sampler_module, "marginal", plain_marginal)
-    assert (sample(wide, 200, seed=3), sample(small, 200, seed=4)) == draws
-    plain_audit = []
-    sample(small, 50, seed=8, audit=plain_audit)
-    assert repr(plain_audit) == repr(audit)
-    assert repr(induced_distribution(small)) == repr(induced)
+    assert run_all() == fast
+
+
+def test_the_level_layout_is_made_by_the_first_marginal():
+    qd = support_2local_n32()
+    assert "_levels" not in vars(qd)  # a Fourier support that is never sampled costs no layout
+    marginal(qd, "0")
+    levels = vars(qd)["_levels"]
+    marginal(qd, "01", marginal(qd, "0"))
+    assert qd._levels is levels
 
 
 def test_marginal_closed_form_on_idle_qubit():
